@@ -10,6 +10,7 @@ bricked memory figures behind the §6 design discussion.
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig, ParallelConfig, ScheduleConfig
 from repro.parallel import SINDBIS_WORKLOAD, parallel_refine
 from repro.pipeline import MiniWorkload, format_table
 from repro.pipeline.datasets import make_dataset, phantom_for
@@ -101,7 +102,12 @@ def test_measured_virtual_speedup(benchmark, save_artifact):
     def run_all():
         totals = {}
         for p in (1, 2, 4, 8):
-            report = parallel_refine(views, density, n_ranks=p, schedule=sched, r_max=12)
+            config = EngineConfig(
+                schedule=ScheduleConfig.from_schedule(sched),
+                parallel=ParallelConfig(backend="sim", n_ranks=p),
+                r_max=12.0,
+            )
+            report = parallel_refine(views, density, config)
             totals[p] = report.simulated_total_seconds
         return totals
 

@@ -16,6 +16,7 @@ from repro import (
     sindbis_like_phantom,
 )
 from repro.imaging import extract_particles, pick_particles, synthesize_micrograph
+from repro.engine import EngineConfig
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.stats import angular_errors
 from repro.utils import default_rng
@@ -55,7 +56,7 @@ def main() -> None:
     schedule = MultiResolutionSchedule(
         (RefinementLevel(1.0, 1.0, half_steps=3), RefinementLevel(0.5, 0.5, half_steps=2))
     )
-    refiner = OrientationRefiner(truth, r_max=11, max_slides=2)
+    refiner = OrientationRefiner(truth, config=EngineConfig(r_max=11.0, max_slides=2))
     result = refiner.refine(stack, initial_orientations=init, schedule=schedule)
     e0 = angular_errors(init, truth_orients).mean()
     e1 = angular_errors(result.orientations, truth_orients).mean()

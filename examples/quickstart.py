@@ -16,6 +16,7 @@ from repro import (
     simulate_views,
     sindbis_like_phantom,
 )
+from repro.engine import EngineConfig
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.stats import angular_errors, center_errors
 
@@ -43,7 +44,7 @@ def main() -> None:
     schedule = MultiResolutionSchedule(
         (RefinementLevel(1.0, 1.0, half_steps=4), RefinementLevel(0.5, 0.5, half_steps=2))
     )
-    refiner = OrientationRefiner(truth, r_max=12, max_slides=2)
+    refiner = OrientationRefiner(truth, config=EngineConfig(r_max=12.0, max_slides=2))
     result = refiner.refine(views, schedule=schedule)
 
     err1 = angular_errors(result.orientations, views.true_orientations)

@@ -11,6 +11,7 @@ Run:  python examples/unknown_symmetry.py
 
 from repro import OrientationRefiner, asymmetric_phantom, detect_symmetry, simulate_views
 from repro.density import cyclic_phantom, icosahedral_capsid_phantom
+from repro.engine import EngineConfig
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.stats import angular_errors
 
@@ -22,7 +23,7 @@ def refine_asymmetric() -> None:
     schedule = MultiResolutionSchedule(
         (RefinementLevel(1.0, 1.0, half_steps=3), RefinementLevel(0.5, 0.5, half_steps=2))
     )
-    refiner = OrientationRefiner(truth, r_max=10, max_slides=2)
+    refiner = OrientationRefiner(truth, config=EngineConfig(r_max=10.0, max_slides=2))
     result = refiner.refine(views, schedule=schedule)
     e0 = angular_errors(views.initial_orientations, views.true_orientations).mean()
     e1 = angular_errors(result.orientations, views.true_orientations).mean()

@@ -15,9 +15,11 @@ Quick start::
         sindbis_like_phantom, simulate_views, OrientationRefiner,
         default_schedule, reconstruct_from_views,
     )
+    from repro.engine import EngineConfig
+
     truth = sindbis_like_phantom(32).normalized()
     views = simulate_views(truth, 40, snr=4.0, initial_angle_error_deg=2.0)
-    refiner = OrientationRefiner(truth, r_max=12)
+    refiner = OrientationRefiner(truth, config=EngineConfig(r_max=12.0))
     result = refiner.refine(views)
     new_map = reconstruct_from_views(views.images, result.orientations)
 
@@ -57,7 +59,6 @@ from repro.reconstruct import (
     correlation_curve,
     determine_structure,
     reconstruct_from_views,
-    structure_determination_loop,
 )
 from repro.parallel import parallel_refine, run_spmd
 
@@ -89,7 +90,6 @@ __all__ = [
     "write_orientation_file",
     "reconstruct_from_views",
     "correlation_curve",
-    "structure_determination_loop",
     "determine_structure",
     "StructureDeterminationResult",
     "parallel_refine",

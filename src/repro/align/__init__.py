@@ -2,10 +2,8 @@
 
 This package implements steps (f)–(h) of the paper's algorithm — the inner
 loop in which each experimental view's 2D DFT is compared with a window of
-calculated cuts through the map's 3D DFT — plus the two baselines used for
-comparison: common-lines initial orientation assignment and classic
-real-space projection matching restricted to an icosahedral asymmetric unit
-(the "old method").
+calculated cuts through the map's 3D DFT — with the orientation memo that
+lets window re-centers skip candidates already scored.
 """
 
 from repro.align.distance import (
@@ -16,30 +14,8 @@ from repro.align.distance import (
 )
 from repro.align.fused import MatchPlan, get_match_plan
 from repro.align.grid import OrientationGrid, orientation_window, step_offsets
-from repro.align.matcher import MatchResult, match_view, match_view_band, match_view_window
+from repro.align.matcher import MatchResult, match_view, match_view_window
 from repro.align.memo import MemoStore, OrientationMemo, memo_key
-from repro.align.common_lines import (
-    common_line_angles,
-    sinogram,
-    initial_orientations_common_lines,
-)
-from repro.align.projection_matching import (
-    ProjectionLibrary,
-    build_projection_library,
-    match_against_library,
-    refine_icosahedral,
-)
-from repro.align.classify import (
-    align_to_reference,
-    iterative_class_average,
-    polar_resample,
-    polar_rotation_align,
-)
-from repro.align.multireference import (
-    ClassificationResult,
-    classify_views,
-    iterative_classification,
-)
 
 __all__ = [
     "fourier_distance",
@@ -53,23 +29,8 @@ __all__ = [
     "step_offsets",
     "MatchResult",
     "match_view",
-    "match_view_band",
     "match_view_window",
     "MemoStore",
     "OrientationMemo",
     "memo_key",
-    "sinogram",
-    "common_line_angles",
-    "initial_orientations_common_lines",
-    "ProjectionLibrary",
-    "build_projection_library",
-    "match_against_library",
-    "refine_icosahedral",
-    "polar_resample",
-    "polar_rotation_align",
-    "align_to_reference",
-    "iterative_class_average",
-    "ClassificationResult",
-    "classify_views",
-    "iterative_classification",
 ]

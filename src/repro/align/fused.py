@@ -1,4 +1,4 @@
-"""Fused in-band slice/distance kernel (steps f–h without the cut stacks).
+"""The in-band slice/distance kernel (steps f–h without cut stacks).
 
 The reference matching path materializes a full ``(w, l, l)`` stack of
 central cuts (:func:`repro.fourier.slicing.extract_slices`) and only then
@@ -14,16 +14,16 @@ coordinates ``(kx, ky)`` and the band weight vector; per window it rotates
 samples of D̂ at them, so the per-candidate cost drops from ``l²`` to
 ``≈ π·r_map²`` samples — a ``(l/2)²/r_map²`` FLOP and memory-traffic saving
 at coarse levels where ``r_map ≪ l/2``.  Because the band radius bounds
-every rotated coordinate, the interior/edge decision is made **once at
-plan time**: in the common oversampled case the 8-corner trilinear gather
-runs with no per-corner bounds checks at all.
+every rotated coordinate, each band sample is classified *once at plan
+time* as interior for every rotation or possibly on the cube edge: the
+interior bulk runs the 8-corner trilinear gather with no bounds checks.
 
 The kernel is numerically *identical* to the reference path (same
 coordinate arithmetic, same corner accumulation order, same reduction
-shapes), so ``kernel="reference"`` remains available purely as a checkable
-slow path.  The plan also carries the in-band phase-ramp machinery used by
-the fused center search (steps k–l), where a candidate center shift
-becomes an ``n_band``-element ramp instead of an ``l×l`` one.
+shapes), so ``kernel="reference"`` remains available purely as the test
+oracle.  The plan also carries the in-band phase-ramp machinery used by
+the center search (steps k–l), where a candidate center shift becomes an
+``n_band``-element ramp instead of an ``l×l`` one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.align.distance import DistanceComputer
 from repro.analysis.contracts import array_contract, spec
 from repro.arraytypes import Array
 from repro.engine.env import GATHER_CHUNK_ENV, gather_chunk_samples
-from repro.fourier.slicing import _gather_nearest, _gather_trilinear, _gather_trilinear_interior
+from repro.fourier.slicing import _gather_nearest, _gather_trilinear
 from repro.fourier.transforms import fourier_center, frequency_grid_2d
 
 __all__ = ["MatchPlan", "get_match_plan"]
@@ -46,18 +46,14 @@ _INTERIOR_MARGIN = 1e-9
 
 #: Target band samples per gather chunk.  Large windows are processed in
 #: rotation chunks of roughly this many samples so the coordinate and
-#: per-corner temporaries stay cache-resident instead of streaming
-#: tens-of-MB arrays through memory eight times per window.  Gathers and
-#: distances are per-point/per-row, so chunking cannot change any value.
-_CHUNK_SAMPLES = 1 << 18
+#: per-corner temporaries (three coordinate columns, four weight pairs)
+#: stay cache-resident instead of streaming tens-of-MB arrays through
+#: memory eight times per window: measured fastest at 2^16 samples/chunk
+#: at l=64, with a sharp cliff above ~2^17.  Gathers and distances are
+#: per-point/per-row, so chunking cannot change any value.
+_CHUNK_SAMPLES = 1 << 16
 
-#: Chunk target for the batched window path.  The split-band gather keeps
-#: more live temporaries per sample than the fused path (three coordinate
-#: columns, four weight pairs), so its sweet spot sits lower: measured
-#: fastest at 2^16 samples/chunk at l=64, with a sharp cliff above ~2^17.
-_BATCHED_CHUNK_SAMPLES = 1 << 16
-
-#: Environment variable overriding both chunk targets (samples per chunk).
+#: Environment variable overriding the chunk target (samples per chunk).
 #: Kept as a module attribute for existing importers; the read itself is
 #: centralized in :mod:`repro.engine.env` (repro-lint RL011).
 REPRO_GATHER_CHUNK = GATHER_CHUNK_ENV
@@ -93,8 +89,8 @@ def _gather_interior_stack(flat: Array, l: int, cz: Array, cy: Array, cx: Array)
       accumulator is identical.
 
     Columns (not an interleaved ``(..., 3)`` array) keep every fractional
-    and weight array contiguous, which is where the batched path's
-    throughput over the fused gather comes from.
+    and weight array contiguous, which is where the gather's throughput
+    comes from.
     """
     iz = cz.astype(np.int32, copy=False)
     iy = cy.astype(np.int32, copy=False)
@@ -115,14 +111,14 @@ def _gather_interior_stack(flat: Array, l: int, cz: Array, cy: Array, cx: Array)
 
 
 class MatchPlan:
-    """Precomputed in-band geometry for fused slice+distance evaluation.
+    """Precomputed in-band geometry for slice+distance evaluation.
 
     Parameters
     ----------
     distance_computer:
         The band mask, weights and normalization all come from here; the
-        fused distances are bit-identical to ``distance_computer`` applied
-        to reference cuts.
+        in-band distances are bit-identical to ``distance_computer``
+        applied to reference cuts.
     volume_size:
         Side of the (possibly oversampled) 3D DFT the cuts are taken from.
     interpolation:
@@ -152,30 +148,13 @@ class MatchPlan:
         self._scale = self.volume_size / self.size
         self._cv = fourier_center(self.volume_size)
         self.n_samples = distance_computer.n_samples
-        if idx.size:
-            r_band = float(
-                np.sqrt(
-                    self._kxb.astype(float, copy=False) ** 2
-                    + self._kyb.astype(float, copy=False) ** 2
-                ).max()
-            )
-        else:
-            r_band = 0.0
-        #: Largest in-band frequency radius (image units); rotation cannot
-        #: push any sampled coordinate farther than ``r_band·scale`` from
-        #: the volume center, so interior-ness is known before any gather.
-        self.band_radius = r_band
-        reach = r_band * self._scale
-        self._interior = bool(
-            self._cv - reach >= _INTERIOR_MARGIN
-            and self._cv + reach <= self.volume_size - 1 - _INTERIOR_MARGIN
-        )
-        # Per-sample band partition for the batched window path.  A sample
+        # Per-sample band partition for the stacked gather.  A sample
         # at band radius ``r_i`` can be rotated anywhere on the sphere of
         # radius ``r_i·scale`` but never beyond it, so samples whose sphere
         # clears the cube boundary are *interior for every rotation* — the
-        # no-check stacked gather handles them; only the thin outer rim of
-        # the band (empty when the plan is all-interior) pays bounds checks.
+        # no-check stacked gather handles them, and interior-ness is known
+        # before any gather; only the thin outer rim of the band (empty
+        # when the plan is all-interior) pays bounds checks.
         r_per_sample = np.sqrt(
             self._kxb.astype(float, copy=False) ** 2
             + self._kyb.astype(float, copy=False) ** 2
@@ -197,7 +176,7 @@ class MatchPlan:
     @property
     def all_interior(self) -> bool:
         """True when every possible sample has a full in-bounds 8-corner cell."""
-        return self._interior
+        return self._edge_pos.size == 0
 
     @property
     def n_interior_samples(self) -> int:
@@ -214,132 +193,37 @@ class MatchPlan:
         """The view's in-band samples as a flat vector (alias of ``dc.gather``)."""
         return self.dc.gather(view_ft)
 
-    def _band_coords(self, rotations: Array) -> tuple[Array, bool]:
-        rots = np.asarray(rotations, dtype=float)
-        single = rots.ndim == 2
-        if single:
-            rots = rots[None]
-        if rots.ndim != 3 or rots.shape[1:] != (3, 3):
-            raise ValueError(f"rotations must be (w, 3, 3) or (3, 3), got {rots.shape}")
-        u = rots[:, :, 0]  # (w, 3)
-        v = rots[:, :, 1]
-        coords_xyz = (
-            self._kxb[None, :, None] * u[:, None, :] + self._kyb[None, :, None] * v[:, None, :]
-        ) * self._scale
-        coords_zyx = coords_xyz[..., ::-1] + self._cv
-        return coords_zyx, single
-
-    def _rotation_chunk(self, target_samples: int = _CHUNK_SAMPLES) -> int:
+    def _rotation_chunk(self) -> int:
         """Rotations per gather chunk (cache sizing, not a result knob).
 
         ``REPRO_GATHER_CHUNK`` (validated positive-integer env var)
-        overrides ``target_samples``, tuning the memory/speed tradeoff of
-        both the fused and batched gathers without code edits.
+        overrides the samples-per-chunk target, tuning the memory/speed
+        tradeoff of the gather without code edits.
         """
-        return max(1, _gather_chunk_target(target_samples) // max(1, self.n_samples))
+        return max(1, _gather_chunk_target(_CHUNK_SAMPLES) // max(1, self.n_samples))
 
-    def _gather_chunk(self, vol: Array, rotations: Array) -> Array:
-        coords, single = self._band_coords(rotations)
-        if self.interpolation == "nearest":
-            out = _gather_nearest(vol, coords)
-        elif self._interior:
-            pts = coords.reshape(-1, 3)
-            base = np.floor(pts).astype(np.int64, copy=False)
-            frac = pts - base
-            out = _gather_trilinear_interior(vol.ravel(), vol.shape[0], base, frac).reshape(
-                coords.shape[:-1]
-            )
-        else:
-            out = _gather_trilinear(vol, coords)
-        return out[0] if single else out
-
-    @array_contract(
-        volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
-        rotations=spec(shape=[(3, 3), (None, 3, 3)], allow_none=False),
-    )
-    def cut_bands(self, volume_ft: Array, rotations: Array) -> Array:
-        """In-band samples of the central cut(s) of D̂ — never an (w, l, l) stack.
-
-        ``rotations`` is one ``(3, 3)`` matrix or a ``(w, 3, 3)`` stack; the
-        result is ``(n_band,)`` or ``(w, n_band)`` complex samples.
-        """
-        vol = np.asarray(volume_ft)
-        if vol.shape != (self.volume_size,) * 3:
-            raise ValueError(
-                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
-            )
-        rots = np.asarray(rotations, dtype=float)
-        step = self._rotation_chunk()
-        if rots.ndim == 2 or rots.shape[0] <= step:
-            return self._gather_chunk(vol, rots)
-        out = np.empty((rots.shape[0], self.n_samples), dtype=vol.dtype)
-        for lo in range(0, rots.shape[0], step):
-            out[lo : lo + step] = self._gather_chunk(vol, rots[lo : lo + step])
-        return out
-
-    def cut_band(self, volume_ft: Array, rotation: Array) -> Array:
-        """In-band samples of one cut (the fused analog of ``extract_slice``)."""
-        return self.cut_bands(volume_ft, rotation)
-
-    # -- fused matching ----------------------------------------------------
-    @array_contract(
-        volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
-        view_band=spec(shape=("n",), dtype="inexact", allow_none=False),
-        rotations=spec(shape=[(3, 3), (None, 3, 3)], allow_none=False),
-    )
-    def distances(
-        self,
-        volume_ft: Array,
-        view_band: Array,
-        rotations: Array,
-        cut_modulation: Array | None = None,
-    ) -> Array:
-        """§3 distances from one view to all ``w`` candidates, fused.
-
-        ``view_band`` comes from :meth:`gather_view`; ``cut_modulation`` is
-        a band vector (or full ``(l, l)`` array) imposed on every cut.
-
-        Each rotation chunk is gathered *and* reduced while still hot in
-        cache; distances are per-row, so chunking is invisible in the
-        output.
-        """
-        rots = np.asarray(rotations, dtype=float)
-        if rots.ndim == 2:
-            rots = rots[None]
-        vol = np.asarray(volume_ft)
-        step = self._rotation_chunk()
-        if rots.shape[0] <= step:
-            cuts = self.cut_bands(vol, rots)
-            return np.asarray(
-                self.dc.distance_band(view_band, cuts, cut_modulation=cut_modulation)
-            )
-        out = np.empty(rots.shape[0])
-        for lo in range(0, rots.shape[0], step):
-            cuts = self.cut_bands(vol, rots[lo : lo + step])
-            out[lo : lo + step] = self.dc.distance_band(
-                view_band, cuts, cut_modulation=cut_modulation
-            )
-        return out
-
-    # -- batched window engine ---------------------------------------------
-    def _gather_batched_chunk(self, vol: Array, flat: Array, rots: Array) -> Array:
+    def _gather_chunk(self, vol: Array, flat: Array, rots: Array) -> Array:
         """One rotation chunk through the split-band stacked gather.
 
         The band is partitioned *at plan time* into always-interior and
-        possibly-edge samples (see ``__init__``); each subset's rotated
-        coordinates are built with the exact elementwise arithmetic of
-        :meth:`_band_coords` restricted to the subset, so every per-point
-        value — and hence the scattered result — is bit-identical to the
-        fused path.
+        possibly-edge samples (see ``__init__``).  Coordinates are the
+        reference's ``(kx·u + ky·v)·scale + cv`` per point — the same
+        elementwise operations in the same order as
+        :func:`repro.fourier.slicing.slice_coordinates` — so every gathered
+        value is bit-identical to sampling the full reference cut.
         """
         u = rots[:, :, 0]  # (w, 3)
         v = rots[:, :, 1]
+        if self.interpolation == "nearest":
+            coords_xyz = (
+                self._kxb[None, :, None] * u[:, None, :]
+                + self._kyb[None, :, None] * v[:, None, :]
+            ) * self._scale
+            return _gather_nearest(vol, coords_xyz[..., ::-1] + self._cv)
         out = np.empty((rots.shape[0], self.n_samples), dtype=vol.dtype)
         if self._int_pos.size:
-            # Coordinate *columns* in array (z, y, x) order: component c of
-            # the fused path's ``(kx·u + ky·v)·scale`` then ``+ cv`` — the
-            # same elementwise operations in the same order per point, just
-            # never interleaved into a strided (w, n, 3) array.
+            # Coordinate *columns* in array (z, y, x) order, never
+            # interleaved into a strided (w, n, 3) array.
             kxi, kyi = self._kx_int, self._ky_int
             cz = (kxi[None, :] * u[:, 2, None] + kyi[None, :] * v[:, 2, None]) * self._scale + self._cv
             cy = (kxi[None, :] * u[:, 1, None] + kyi[None, :] * v[:, 1, None]) * self._scale + self._cv
@@ -354,41 +238,46 @@ class MatchPlan:
             out[:, self._edge_pos] = _gather_trilinear(vol, coords_zyx)
         return out
 
-    @array_contract(
-        volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
-        rotations=spec(shape=[(3, 3), (None, 3, 3)], allow_none=False),
-    )
-    def cut_bands_batched(self, volume_ft: Array, rotations: Array) -> Array:
-        """Batched-path analog of :meth:`cut_bands` (bit-identical output).
-
-        Same shapes in and out; the difference is purely mechanical — the
-        plan-time band partition lets the bulk of each chunk skip bounds
-        checks entirely instead of re-deciding interior-ness per gather.
-        """
+    def _check_volume(self, volume_ft: Array) -> Array:
         vol = np.asarray(volume_ft)
         if vol.shape != (self.volume_size,) * 3:
             raise ValueError(
                 f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
             )
+        return vol
+
+    @array_contract(
+        volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
+        rotations=spec(shape=[(3, 3), (None, 3, 3)], allow_none=False),
+    )
+    def cut_bands(self, volume_ft: Array, rotations: Array) -> Array:
+        """In-band samples of the central cut(s) of D̂ — never an (w, l, l) stack.
+
+        ``rotations`` is one ``(3, 3)`` matrix or a ``(w, 3, 3)`` stack; the
+        result is ``(n_band,)`` or ``(w, n_band)`` complex samples.
+        """
+        vol = self._check_volume(volume_ft)
         rots = np.asarray(rotations, dtype=float)
         single = rots.ndim == 2
         if single:
             rots = rots[None]
-        if self.interpolation == "nearest":
-            out = self.cut_bands(vol, rots)
-            return out[0] if single else out
+        if rots.ndim != 3 or rots.shape[1:] != (3, 3):
+            raise ValueError(f"rotations must be (w, 3, 3) or (3, 3), got {rots.shape}")
         flat = vol.ravel()
-        step = self._rotation_chunk(_BATCHED_CHUNK_SAMPLES)
+        step = self._rotation_chunk()
         if rots.shape[0] <= step:
-            out = self._gather_batched_chunk(vol, flat, rots)
+            out = self._gather_chunk(vol, flat, rots)
         else:
             out = np.empty((rots.shape[0], self.n_samples), dtype=vol.dtype)
             for lo in range(0, rots.shape[0], step):
-                out[lo : lo + step] = self._gather_batched_chunk(
-                    vol, flat, rots[lo : lo + step]
-                )
+                out[lo : lo + step] = self._gather_chunk(vol, flat, rots[lo : lo + step])
         return out[0] if single else out
 
+    def cut_band(self, volume_ft: Array, rotation: Array) -> Array:
+        """In-band samples of one cut (the band analog of ``extract_slice``)."""
+        return self.cut_bands(volume_ft, rotation)
+
+    # -- window matching ---------------------------------------------------
     @array_contract(
         volume_ft=spec(shape=("v", "v", "v"), dtype="inexact", allow_none=False),
         view_band=spec(shape=("n",), dtype="inexact", allow_none=False),
@@ -403,29 +292,24 @@ class MatchPlan:
     ) -> Array:
         """§3 distances for a whole candidate window in one batched call.
 
-        The batched engine entry point: all ``w`` candidate rotations go
-        through one chunked stacked trilinear gather (split-band, see
-        :meth:`cut_bands_batched`) and the band-vector distance reduction,
-        with no per-candidate Python work.  Distances are per-row and the
-        reduction is the same :meth:`DistanceComputer.distance_band` the
-        fused and reference paths use, so the output is bit-identical to
-        evaluating each candidate alone.
+        All ``w`` candidate rotations go through one chunked stacked gather
+        (see :meth:`cut_bands`) and the band-vector distance reduction, with
+        no per-candidate Python work.  Each rotation chunk is gathered *and*
+        reduced while still hot in cache.  ``view_band`` comes from
+        :meth:`gather_view`; ``cut_modulation`` is a band vector (or full
+        ``(l, l)`` array) imposed on every cut.  Distances are per-row
+        through :meth:`DistanceComputer.distance_band`, so the output is
+        bit-identical to evaluating each candidate alone.
         """
         rots = np.asarray(rotations, dtype=float)
         if rots.ndim == 2:
             rots = rots[None]
-        vol = np.asarray(volume_ft)
-        if vol.shape != (self.volume_size,) * 3:
-            raise ValueError(
-                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
-            )
-        if self.interpolation == "nearest":
-            return self.distances(vol, view_band, rots, cut_modulation=cut_modulation)
+        vol = self._check_volume(volume_ft)
         flat = vol.ravel()
-        step = self._rotation_chunk(_BATCHED_CHUNK_SAMPLES)
+        step = self._rotation_chunk()
         out = np.empty(rots.shape[0])
         for lo in range(0, rots.shape[0], step):
-            cuts = self._gather_batched_chunk(vol, flat, rots[lo : lo + step])
+            cuts = self._gather_chunk(vol, flat, rots[lo : lo + step])
             out[lo : lo + step] = self.dc.distance_band(
                 view_band, cuts, cut_modulation=cut_modulation
             )
@@ -493,7 +377,7 @@ class MatchPlan:
         candidate's full squared distance — is compared against
         ``(bound·l²)²`` and candidates strictly above it are abandoned.
         Per-point coordinate arithmetic and gathers are the exact subset
-        restriction of :meth:`_gather_batched_chunk`, and every
+        restriction of :meth:`_gather_chunk`, and every
         *survivor's* distance is recomputed by the canonical
         :meth:`DistanceComputer.distance_band` reduction over its
         reassembled full band row (never from the group accumulator, whose
@@ -510,15 +394,11 @@ class MatchPlan:
         rots = np.asarray(rotations, dtype=float)
         if rots.ndim == 2:
             rots = rots[None]
-        vol = np.asarray(volume_ft)
+        vol = self._check_volume(volume_ft)
         if not np.isfinite(bound) or self.interpolation == "nearest":
             return np.asarray(
                 self.match_window(vol, view_band, rots, cut_modulation=cut_modulation)
             ), 0
-        if vol.shape != (self.volume_size,) * 3:
-            raise ValueError(
-                f"volume_ft must be ({self.volume_size},)*3 for this plan, got {vol.shape}"
-            )
         view = np.asarray(view_band)
         mod_band = None
         if cut_modulation is not None:
@@ -564,7 +444,7 @@ class MatchPlan:
             )
         return out, int(w - alive.size)
 
-    # -- fused center machinery (steps k–l) --------------------------------
+    # -- center machinery (steps k–l) -------------------------------------
     def shift_ramps(self, dxs: Array, dys: Array) -> Array:
         """In-band phase ramps for a batch of candidate center corrections.
 

@@ -2,10 +2,12 @@
 
 A *matching operation* — the unit the paper counts when analysing
 complexity — is: construct one cut ``C_s`` of D̂ at a candidate orientation
-and evaluate ``d(F, C_s)``.  :func:`match_view` performs one full window of
-``w`` matching operations, vectorized, and reports the minimum together
-with whether it lies on the window edge (which triggers the slide in
-step i).
+and evaluate ``d(F, C_s)``.  Both entry points perform one full window of
+``w`` matching operations and report the minimum together with whether it
+lies on the window edge (which triggers the slide in step i):
+:func:`match_view_window` is the production path on in-band samples (with
+the orientation memo and pruning), :func:`match_view` the reference
+oracle on full cut stacks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an align->refine cyc
     from repro.refine.prune import PruneSearch
     from repro.refine.restrict import SymmetryRestriction
 
-__all__ = ["MatchResult", "match_view", "match_view_band", "match_view_window"]
+__all__ = ["MatchResult", "match_view", "match_view_window"]
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def match_view(
     interpolation: str = "trilinear",
     cut_modulation: Array | None = None,
 ) -> MatchResult:
-    """Steps f–h for one view and one window.
+    """Steps f–h for one view and one window on full cut stacks (the oracle).
 
     Parameters
     ----------
@@ -96,33 +98,6 @@ def match_view(
     # the view's size either way.
     cuts = extract_slices(volume_ft, rotations, order=interpolation, out_size=size)
     distances = dc.distance_batch(view_ft, cuts, cut_modulation=cut_modulation)
-    flat = int(np.argmin(distances))
-    return MatchResult(
-        orientation=grid.orientation_at(flat),
-        distance=float(distances[flat]),
-        flat_index=flat,
-        on_edge=grid.on_edge(flat),
-        distances=distances,
-        n_matches=grid.size,
-    )
-
-
-def match_view_band(
-    view_band: Array,
-    volume_ft: Array,
-    grid: OrientationGrid,
-    plan: MatchPlan,
-    cut_modulation: Array | None = None,
-) -> MatchResult:
-    """Steps f–h with the fused in-band kernel — no ``(w, l, l)`` cut stack.
-
-    ``view_band`` is the view's pre-gathered in-band vector
-    (:meth:`MatchPlan.gather_view`); the distances are numerically identical
-    to :func:`match_view` with the plan's distance computer.
-    """
-    distances = plan.distances(
-        volume_ft, view_band, grid.rotation_stack(), cut_modulation=cut_modulation
-    )
     flat = int(np.argmin(distances))
     return MatchResult(
         orientation=grid.orientation_at(flat),

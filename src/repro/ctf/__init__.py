@@ -8,7 +8,6 @@ share one CTF.
 
 from repro.ctf.model import CTFParams, ctf_1d, ctf_2d, defocus_group_params
 from repro.ctf.correct import apply_ctf, phase_flip, wiener_correct
-from repro.ctf.estimate import estimate_defocus, radial_power_spectrum
 
 __all__ = [
     "CTFParams",
@@ -18,6 +17,4 @@ __all__ = [
     "apply_ctf",
     "phase_flip",
     "wiener_correct",
-    "estimate_defocus",
-    "radial_power_spectrum",
 ]

@@ -243,8 +243,7 @@ class ProcessBackend(ExecutionBackend):
     built from config it constructs the scheduler with the config's worker
     count, chunking, mp context and retry policy; handed a pre-built
     scheduler (``scheduler=``) it delegates without taking ownership —
-    the caller keeps the pool's lifetime, exactly as the old
-    ``OrientationRefiner.refine(scheduler=...)`` contract.
+    the caller keeps the pool's lifetime.
     """
 
     name = "process"
@@ -421,19 +420,13 @@ class SimBackend(ExecutionBackend):
         from repro.parallel.machine import SP2_LIKE
         from repro.parallel.prefine import parallel_refine
 
-        cfg = self.config
         return parallel_refine(
             views,
             density,
-            n_ranks=cfg.parallel.n_ranks,
-            schedule=cfg.schedule.to_schedule(),
+            self.config,
             machine=machine if machine is not None else SP2_LIKE,
-            r_max=cfg.r_max,
-            pad_factor=cfg.pad_factor,
-            refine_centers=cfg.refine_centers,
             orientation_file=orientation_file,
             fault_plan=self.fault_plan,
-            kernel=cfg.kernel.kernel,
         )
 
 
@@ -441,16 +434,12 @@ def make_backend(
     config: EngineConfig,
     *,
     fault_plan: "FaultPlan | None" = None,
-    scheduler: "ViewScheduler | None" = None,
 ) -> ExecutionBackend:
     """The backend a config asks for, fully constructed.
 
-    ``scheduler`` forces a :class:`ProcessBackend` adopting that pool
-    (un-owned), preserving the legacy injection contract; ``fault_plan``
-    threads a chaos plan into whichever backend supports one.
+    ``fault_plan`` threads a chaos plan into whichever backend supports
+    one.
     """
-    if scheduler is not None:
-        return ProcessBackend(scheduler=scheduler)
     backend = config.parallel.backend
     if backend == "serial" and config.parallel.n_workers == 1:
         return SerialBackend()

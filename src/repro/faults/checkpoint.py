@@ -94,6 +94,11 @@ class RefinementCheckpoint:
     orientations: list[Orientation]
     distances: Array
     stats: RefinementStats
+    #: :meth:`repro.engine.config.EngineConfig.fingerprint` of the run's
+    #: engine config — schedule *plus* kernel/memo/matching settings.  The
+    #: schedule fingerprint alone would silently accept a resume under a
+    #: different kernel or memo configuration; this field closes that hole.
+    engine_fingerprint: str
     memo: dict[int, tuple[Array, Array]] | None = None
     #: Per-view multi-basin state (``prune.top_k``/``polish.n_best`` > 1):
     #: one tuple of basin-center orientations per view, ``None`` entries
@@ -101,12 +106,6 @@ class RefinementCheckpoint:
     #: runs.  Stored losslessly (``float.hex``) in the ``basins`` header
     #: tag so a resumed multi-basin run re-seeds the exact same starts.
     basins: list[tuple[Orientation, ...] | None] | None = None
-    #: :meth:`repro.engine.config.EngineConfig.fingerprint` of the run's
-    #: engine config — schedule *plus* kernel/memo/matching settings.  The
-    #: schedule fingerprint alone silently accepted a resume under a
-    #: different kernel or memo configuration; this field closes that hole.
-    #: Empty for checkpoints written by drivers without an engine config.
-    engine_fingerprint: str = ""
 
     @property
     def n_views(self) -> int:
@@ -169,9 +168,8 @@ def save_checkpoint(path: str, checkpoint: RefinementCheckpoint) -> None:
         "levels_done": int(checkpoint.levels_done),
         "n_views": checkpoint.n_views,
         "stats": asdict(checkpoint.stats),
+        "engine_fingerprint": checkpoint.engine_fingerprint,
     }
-    if checkpoint.engine_fingerprint:
-        meta["engine_fingerprint"] = checkpoint.engine_fingerprint
     header = f"{CHECKPOINT_FORMAT}\nmeta {json.dumps(meta, sort_keys=True)}"
     if checkpoint.memo is not None:
         header += f"\nmemo {_memo_to_json(checkpoint.memo)}"
@@ -222,8 +220,9 @@ def load_checkpoint(path: str) -> RefinementCheckpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises ``ValueError`` on a malformed or non-checkpoint file (a plain
-    orientation file has no meta header).  Checkpoints written before the
-    memo header existed load with ``memo=None``.
+    orientation file has no meta header) and ``KeyError`` on a meta header
+    without an engine fingerprint.  A run without memo state loads with
+    ``memo=None``.
     """
     header = _parse_header(path)
     meta = header["meta"]
@@ -244,7 +243,7 @@ def load_checkpoint(path: str) -> RefinementCheckpoint:
         distances=np.asarray(scores, dtype=float),
         stats=stats,
         memo=memo,
-        engine_fingerprint=str(meta.get("engine_fingerprint", "")),
+        engine_fingerprint=str(meta["engine_fingerprint"]),
         basins=basins,
     )
 
@@ -265,21 +264,20 @@ def try_load_checkpoint(
     path: str,
     schedule_fingerprint: str,
     n_views: int,
-    engine_fingerprint: str | None = None,
+    engine_fingerprint: str,
 ) -> RefinementCheckpoint | None:
     """Load ``path`` if it is a usable checkpoint for this exact run.
 
     Returns ``None`` (start from scratch) when the file is missing, not a
-    checkpoint, or was written for a different schedule or view count —
-    resuming across any of those would silently corrupt the result, so
-    mismatch means "ignore", never "adapt".
+    checkpoint (a header without an engine fingerprint included), or was
+    written for a different schedule or view count — resuming across any
+    of those would silently corrupt the result, so mismatch means
+    "ignore", never "adapt".
 
     ``engine_fingerprint`` tightens the gate: a checkpoint that matches
     the schedule but carries a *different* engine fingerprint raises
     :class:`CheckpointConfigMismatch` instead of resuming — same run
-    identity, incompatible kernel/memo configuration.  Checkpoints
-    written before the engine header existed (empty fingerprint) are
-    accepted for backward compatibility.
+    identity, incompatible kernel/memo configuration.
     """
     if not os.path.exists(path):
         return None
@@ -289,11 +287,7 @@ def try_load_checkpoint(
         return None
     if ckpt.schedule_fingerprint != schedule_fingerprint or ckpt.n_views != n_views:
         return None
-    if (
-        engine_fingerprint
-        and ckpt.engine_fingerprint
-        and ckpt.engine_fingerprint != engine_fingerprint
-    ):
+    if ckpt.engine_fingerprint != engine_fingerprint:
         raise CheckpointConfigMismatch(
             f"{path}: checkpoint was written under engine config "
             f"{ckpt.engine_fingerprint}, this run is configured as "
@@ -461,11 +455,7 @@ def try_load_loop_checkpoint(
         return None
     if ckpt.n_views != n_views or ckpt.initial_map_digest != initial_map_digest:
         return None
-    if (
-        engine_fingerprint
-        and ckpt.engine_fingerprint
-        and ckpt.engine_fingerprint != engine_fingerprint
-    ):
+    if ckpt.engine_fingerprint != engine_fingerprint:
         raise CheckpointConfigMismatch(
             f"{path}: loop checkpoint was written under engine config "
             f"{ckpt.engine_fingerprint}, this run is configured as "

@@ -41,7 +41,6 @@ from repro.parallel.master_io import (
 )
 from repro.parallel.pfft import fft_flops_1d, parallel_fft3d
 from repro.perf import PerfCounters
-from repro.refine.multires import MultiResolutionSchedule
 from repro.refine.refiner import (
     STEP_3D_DFT,
     STEP_FFT_ANALYSIS,
@@ -79,7 +78,7 @@ class ParallelRefinementReport:
     #: message-level faults observed on the simulated fabric (chaos runs)
     fault_events: list[FaultEvent] = field(default_factory=list)
     #: batched-engine counters merged over all ranks (``None`` for the
-    #: non-batched kernels); level wall times are real host seconds
+    #: reference kernel); level wall times are real host seconds
     perf: PerfCounters | None = None
 
     def refinement_fraction(self) -> float:
@@ -93,53 +92,32 @@ class ParallelRefinementReport:
 def parallel_refine(
     views: SimulatedViews,
     density: DensityMap,
-    n_ranks: int = 4,
-    schedule: MultiResolutionSchedule | None = None,
+    config: "EngineConfig | None" = None,
+    *,
     machine: MachineSpec = SP2_LIKE,
-    r_max: float | None = None,
-    pad_factor: int = 2,
-    refine_centers: bool = True,
     orientation_file: str | None = None,
     fault_plan: FaultPlan | None = None,
-    kernel: str = "batched",
-    config: "EngineConfig | None" = None,
 ) -> ParallelRefinementReport:
     """Run one full refinement iteration on the simulated cluster.
+
+    ``config`` (default ``EngineConfig()``) supplies the run:
+    ``parallel.n_ranks``, ``schedule``, ``r_max``, ``pad_factor``,
+    ``refine_centers`` and ``kernel.kernel`` per rank (both kernels are
+    bit-identical; ``"batched"`` additionally memoizes repeated candidates
+    per view and fills :attr:`ParallelRefinementReport.perf`).
 
     ``fault_plan`` injects deterministic message drops/delays into the
     simulated fabric (see :mod:`repro.parallel.comm`); the observed events
     come back in :attr:`ParallelRefinementReport.fault_events`.  Injected
     fabric faults change simulated *time* only — refined orientations stay
     bit-identical to the fault-free run.
-
-    ``kernel`` selects the matching implementation per rank (all are
-    bit-identical); ``"batched"`` (default) additionally memoizes repeated
-    candidates per view and fills :attr:`ParallelRefinementReport.perf`.
-
-    ``config`` supplies everything as one validated
-    :class:`~repro.engine.config.EngineConfig` (``parallel.n_ranks``,
-    ``schedule``, ``r_max``, ``pad_factor``, ``refine_centers``,
-    ``kernel.kernel``); the individual kwargs above are the deprecation
-    shim and are ignored when it is given.  Both spellings run the
-    identical simulation.
     """
     # Imported lazily: repro.engine must stay importable before this
     # package (its env module is read at kernel import time).
-    from repro.engine.config import EngineConfig, KernelConfig, ParallelConfig, ScheduleConfig
+    from repro.engine.config import EngineConfig
 
     if config is None:
-        # deprecation shim: scattered kwargs → one validated config
-        sched_cfg = (
-            ScheduleConfig() if schedule is None else ScheduleConfig.from_schedule(schedule)
-        )
-        config = EngineConfig(
-            kernel=KernelConfig(kernel=kernel),
-            schedule=sched_cfg,
-            parallel=ParallelConfig(backend="sim", n_ranks=int(n_ranks)),
-            r_max=None if r_max is None else float(r_max),
-            refine_centers=bool(refine_centers),
-            pad_factor=int(pad_factor),
-        )
+        config = EngineConfig()
     kernel = config.kernel.kernel
     n_ranks = config.parallel.n_ranks
     sched = config.schedule.to_schedule()

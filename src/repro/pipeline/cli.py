@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-slides", type=int, default=absent)
         p.add_argument("--no-centers", action="store_true", default=absent)
         p.add_argument(
-            "--kernel", choices=("batched", "fused", "reference"), default=absent,
-            help="matching kernel: batched whole-window with memo (default), fused "
-            "in-band per candidate, or the reference slow path (all bit-identical)",
+            "--kernel", choices=("batched", "reference"), default=absent,
+            help="matching kernel: batched whole-window with memo (default) or the "
+            "reference full-slice oracle (bit-identical, slow)",
         )
         p.add_argument(
             "--no-memo", action="store_true", default=absent,

@@ -22,16 +22,8 @@ from repro.reconstruct.iterate import (
     determine_structure,
     iterations_until_stop,
     should_stop,
-    structure_determination_loop,
 )
-from repro.reconstruct.sirt import SIRTResult, sirt_reconstruct
 from repro.reconstruct.stream import HalfSetAccumulator
-from repro.reconstruct.coverage import (
-    coverage_fraction,
-    coverage_volume,
-    shell_coverage,
-    views_needed_estimate,
-)
 
 __all__ = [
     "reconstruct_from_views",
@@ -40,17 +32,10 @@ __all__ = [
     "correlation_curve",
     "fsc_crossing",
     "resolution_at_threshold",
-    "structure_determination_loop",
     "determine_structure",
     "should_stop",
     "iterations_until_stop",
     "IterationRecord",
     "StructureDeterminationResult",
     "HalfSetAccumulator",
-    "sirt_reconstruct",
-    "SIRTResult",
-    "coverage_volume",
-    "coverage_fraction",
-    "shell_coverage",
-    "views_needed_estimate",
 ]

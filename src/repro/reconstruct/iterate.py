@@ -21,9 +21,6 @@ The loop is governed end-to-end by one :class:`EngineConfig`:
   mid-loop bit-identically (DESIGN.md §14);
 - everything else — schedule, kernel, backend, pruning, polish, symmetry
   — exactly as in a single refinement run.
-
-:func:`structure_determination_loop` remains as the thin legacy wrapper
-returning only the per-iteration history.
 """
 
 from __future__ import annotations
@@ -34,12 +31,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.density.map import DensityMap
-from repro.engine.config import EngineConfig, ScheduleConfig
+from repro.engine.config import EngineConfig
 from repro.geometry.euler import Orientation
 from repro.imaging.simulate import SimulatedViews
 from repro.reconstruct.resolution import CorrelationCurve
 from repro.reconstruct.stream import HalfSetAccumulator
-from repro.refine.multires import MultiResolutionSchedule
 from repro.refine.refiner import OrientationRefiner
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "determine_structure",
     "iterations_until_stop",
     "should_stop",
-    "structure_determination_loop",
 ]
 
 
@@ -367,49 +362,3 @@ def determine_structure(
         resumed_iterations=start_iteration,
     )
 
-
-def structure_determination_loop(
-    views: SimulatedViews,
-    initial_map: DensityMap,
-    schedule: MultiResolutionSchedule | None = None,
-    max_iterations: int = 3,
-    r_max: float | None = None,
-    pad_factor: int = 2,
-    min_improvement_angstrom: float = 0.0,
-    refine_centers: bool = True,
-    config: EngineConfig | None = None,
-) -> list[IterationRecord]:
-    """Alternate orientation refinement and reconstruction (legacy shim).
-
-    Thin wrapper over :func:`determine_structure` returning only the
-    per-iteration history.  ``config`` configures the whole loop as one
-    solver; the individual kwargs are the deprecation shim —
-    ``schedule``/``r_max``/``pad_factor``/``refine_centers`` are ignored
-    when ``config`` is given, while ``max_iterations`` and
-    ``min_improvement_angstrom`` (loop-level knobs that predate
-    :class:`~repro.engine.config.IterationConfig`) always take effect by
-    overriding the config's ``iteration`` section.
-    """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if config is None:
-        # deprecation shim: scattered kwargs → one validated config
-        config = EngineConfig(
-            schedule=(
-                ScheduleConfig()
-                if schedule is None
-                else ScheduleConfig.from_schedule(schedule)
-            ),
-            r_max=None if r_max is None else float(r_max),
-            refine_centers=bool(refine_centers),
-            pad_factor=int(pad_factor),
-        )
-    config = replace(
-        config,
-        iteration=replace(
-            config.iteration,
-            max_iterations=int(max_iterations),
-            min_improvement_angstrom=float(min_improvement_angstrom),
-        ),
-    )
-    return determine_structure(views, initial_map, config).history

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ctf.model import CTFParams, ctf_2d
+from repro.ctf.model import CTFParams
 from repro.density.map import DensityMap
-from repro.fourier.insertion import insert_slice, normalize_insertion
 from repro.fourier.shells import fsc_curve
-from repro.fourier.transforms import centered_fft2, centered_ifftn
 from repro.geometry.euler import Orientation
-from repro.imaging.center import phase_shift_ft
+from repro.reconstruct.direct_fourier import check_view_stack, deposit_view, finalize_map
 from repro.utils import shell_radius_to_resolution
 
 __all__ = ["HalfSetAccumulator"]
@@ -50,9 +48,10 @@ class HalfSetAccumulator:
     read :meth:`full_map`, :meth:`half_maps`, :meth:`fsc` or
     :meth:`curve` once all views are deposited.  The per-view math —
     centering phase ramp, CTF phase flip with |CTF| sample weights,
-    Hermitian trilinear insertion — replicates
-    :func:`~repro.reconstruct.direct_fourier.reconstruct_from_views`
-    exactly; only the accumulation bookkeeping differs.
+    Hermitian trilinear insertion — is
+    :func:`~repro.reconstruct.direct_fourier.deposit_view`, shared with
+    :func:`~repro.reconstruct.direct_fourier.reconstruct_from_views`; only
+    the accumulation bookkeeping differs.
     """
 
     def __init__(
@@ -64,15 +63,7 @@ class HalfSetAccumulator:
         ctf_mode: str = "phase_flip",
         min_weight: float = 1e-3,
     ) -> None:
-        imgs = np.asarray(images, dtype=float)
-        if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2]:
-            raise ValueError("images must be a (m, l, l) stack")
-        if ctf_params is not None and len(ctf_params) != imgs.shape[0]:
-            raise ValueError("need one CTFParams per view")
-        if ctf_mode not in ("phase_flip", "none"):
-            raise ValueError(f"unknown ctf_mode {ctf_mode!r}")
-        if pad_factor < 1 or int(pad_factor) != pad_factor:
-            raise ValueError("pad_factor must be a positive integer")
+        imgs = check_view_stack(images, ctf_params, ctf_mode, pad_factor)
         self.images = imgs
         self.apix = float(apix)
         self.pad_factor = int(pad_factor)
@@ -146,19 +137,10 @@ class HalfSetAccumulator:
         return self
 
     def _deposit(self, q: int, o: Orientation) -> None:
-        ft = centered_fft2(self.images[q])
-        if o.cx != 0.0 or o.cy != 0.0:
-            ft = phase_shift_ft(ft, -o.cx, -o.cy)
-        sample_w = None
-        if self.ctf_params is not None and self.ctf_mode == "phase_flip":
-            ctf = ctf_2d(self.ctf_params[q], self.size, self.apix)
-            sign = np.sign(ctf)
-            sign[sign == 0] = 1.0
-            ft = ft * sign
-            sample_w = np.abs(ctf)
+        flip = self.ctf_params is not None and self.ctf_mode == "phase_flip"
         half = q % 2
-        insert_slice(self._accum[half], self._weights[half], ft, o.matrix(),
-                     hermitian=True, sample_weights=sample_w)
+        deposit_view(self._accum[half], self._weights[half], self.images[q], o,
+                     self.apix, ctf=self.ctf_params[q] if flip else None)
 
     # -- finalization --------------------------------------------------------
     def _require_complete(self) -> None:
@@ -169,15 +151,8 @@ class HalfSetAccumulator:
             )
 
     def _finalize(self, accum: np.ndarray, weights: np.ndarray) -> DensityMap:
-        volume_ft = normalize_insertion(accum, weights, min_weight=self.min_weight)
-        big_map = centered_ifftn(volume_ft).real
-        l = self.size
-        if self.pad_factor == 1:
-            data = big_map
-        else:
-            off = (self.pad_factor * l - l) // 2
-            data = big_map[off : off + l, off : off + l, off : off + l]
-        return DensityMap(np.ascontiguousarray(data), self.apix)
+        return finalize_map(accum, weights, self.size, self.pad_factor, self.apix,
+                            self.min_weight)
 
     def full_map(self) -> DensityMap:
         """The map from *all* views: elementwise sum of the two halves."""

@@ -23,12 +23,6 @@ from repro.refine.symmetry_detect import (
     score_rotation,
 )
 from repro.refine.orientfile import read_orientation_file, write_orientation_file
-from repro.refine.adaptive import (
-    AdaptiveState,
-    adaptive_refinement_loop,
-    choose_angular_step,
-    choose_band_limit,
-)
 from repro.refine.group_fit import fit_polyhedral_group, frame_from_axis_pair, group_axes
 
 __all__ = [
@@ -59,10 +53,6 @@ __all__ = [
     "SymmetryDetectionResult",
     "read_orientation_file",
     "write_orientation_file",
-    "AdaptiveState",
-    "adaptive_refinement_loop",
-    "choose_band_limit",
-    "choose_angular_step",
     "fit_polyhedral_group",
     "frame_from_axis_pair",
     "group_axes",

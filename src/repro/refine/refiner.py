@@ -25,13 +25,7 @@ from repro.arraytypes import Array
 from repro.ctf.correct import phase_flip
 from repro.ctf.model import CTFParams
 from repro.density.map import DensityMap
-from repro.engine.config import (
-    ConfigError,
-    EngineConfig,
-    KernelConfig,
-    MemoConfig,
-    ParallelConfig,
-)
+from repro.engine.config import ConfigError, EngineConfig
 from repro.fourier.transforms import centered_fft2
 from repro.geometry.euler import Orientation
 from repro.imaging.simulate import SimulatedViews
@@ -76,7 +70,7 @@ class RefinementResult:
         studies).
     perf:
         Batched-engine perf counters (per-level wall time, gathers vs.
-        memo hits, candidates/second); ``None`` for the other kernels.
+        memo hits, candidates/second); ``None`` for the reference kernel.
     symmetry_group:
         Schoenflies symbol of the point group the search was restricted
         by — configured (``fixed:<group>``) or detected.  ``None`` when
@@ -103,78 +97,18 @@ class OrientationRefiner:
     ----------
     density:
         The current 3D electron-density map ``D``.
-    r_max:
-        Fourier radius cutoff ``r_map`` (defaults to the full band).
-    weighting:
-        Radial weighting kind for the distance (``"none"``, ``"radius"``,
-        ``"radius2"``).
-    interpolation:
-        Cut interpolation, ``"trilinear"`` or ``"nearest"``.
-    ctf_correction:
-        ``"phase_flip"`` (default), ``"none"`` — how step (e) corrects view
-        transforms when CTF parameters are provided.
-    pad_factor:
-        Oversampling of D̂ (zero-padding factor).  2 (default) keeps the
-        trilinear slice error well below the signal differences the search
-        must resolve; 1 reproduces the raw-grid behaviour for ablations.
-    kernel:
-        ``"batched"`` (default) evaluates whole candidate windows through
-        one stacked in-band kernel with per-view orientation memoization;
-        ``"fused"`` is the per-window in-band kernel without batching or
-        memo (:mod:`repro.align.fused`); ``"reference"`` is the original
-        slice-then-distance path kept for verification.  All three
-        produce numerically identical results.
-    memo:
-        Enable the orientation memo cache (batched kernel only): window
-        re-centers and level handoffs skip re-scoring candidates already
-        seen for a view at the same center shift.  Memoized values are
-        exact previous results, so this cannot change any output.
-    n_workers:
-        Process count for the view fan-out (``1`` = serial, the default).
-        Workers share one D̂ replica via ``multiprocessing.shared_memory``
-        and return bit-identical results to the serial loop.
     config:
-        A complete :class:`~repro.engine.config.EngineConfig`.  When
-        given, it is the single source of truth and the individual
-        kwargs above are ignored; the kwargs form is a thin shim kept
-        for existing callers — it builds the equivalent config and
-        behaves identically.
+        The complete :class:`~repro.engine.config.EngineConfig` of the run
+        (defaults to ``EngineConfig()``): distance band ``r_max`` and
+        radial ``weighting``, ``kernel`` (``"batched"`` production path
+        with the per-view orientation memo, or the ``"reference"`` oracle
+        — bit-identical), interpolation, CTF correction, D̂ oversampling
+        ``pad_factor``, pruning, polish, symmetry and the execution
+        backend used when :meth:`refine` is not handed one.
     """
 
-    def __init__(
-        self,
-        density: DensityMap,
-        r_max: float | None = None,
-        weighting: str = "none",
-        interpolation: str = "trilinear",
-        ctf_correction: str = "phase_flip",
-        max_slides: int = 8,
-        pad_factor: int = 2,
-        normalized_distance: bool = False,
-        kernel: str = "batched",
-        memo: bool = True,
-        n_workers: int = 1,
-        config: EngineConfig | None = None,
-    ) -> None:
-        if config is None:
-            # deprecation shim: scattered kwargs → one validated config
-            # (ConfigError subclasses ValueError, so legacy callers that
-            # catch ValueError on bad options keep working)
-            config = EngineConfig(
-                kernel=KernelConfig(kernel=kernel, interpolation=interpolation),
-                parallel=ParallelConfig(
-                    backend="serial" if int(n_workers) == 1 else "process",
-                    n_workers=int(n_workers),
-                ),
-                memo=MemoConfig(enabled=bool(memo)),
-                r_max=None if r_max is None else float(r_max),
-                max_slides=int(max_slides),
-                refine_centers=True,
-                pad_factor=int(pad_factor),
-                weighting=weighting,
-                ctf_correction=ctf_correction,
-                normalized_distance=bool(normalized_distance),
-            )
+    def __init__(self, density: DensityMap, config: EngineConfig | None = None) -> None:
+        config = config if config is not None else EngineConfig()
         self.config = config
         self.density = density
         self.size = density.size
@@ -192,7 +126,6 @@ class OrientationRefiner:
         self.ctf_correction = config.ctf_correction
         self.kernel = config.kernel.kernel
         self.memo = config.memo.enabled
-        self.n_workers = config.parallel.n_workers
         self.max_slides = config.max_slides
         self.pad_factor = config.pad_factor
         self._volume_ft: Array | None = None
@@ -200,35 +133,6 @@ class OrientationRefiner:
         # fixed distance computer; cache them across refine() calls so
         # repeated iterations over the same micrographs rebuild nothing.
         self._modulation_cache: dict[tuple[CTFParams, float], Array] = {}
-
-    def _run_config(self, n_workers: int | None) -> EngineConfig:
-        """The effective config for one ``refine()`` call.
-
-        Applies the per-call worker override and keeps the backend kind
-        consistent with it; the sim backend cannot drive the
-        level-granular loop, so asking this refiner to run one is an
-        error (use :class:`~repro.engine.core.RefinementEngine`).
-        """
-        from dataclasses import replace
-
-        cfg = self.config
-        if cfg.parallel.backend == "sim":
-            raise ConfigError(
-                "OrientationRefiner runs the serial/process backends; "
-                "route parallel.backend = 'sim' configs through "
-                "RefinementEngine.run() instead"
-            )
-        if n_workers is not None and int(n_workers) != cfg.parallel.n_workers:
-            workers = int(n_workers)
-            cfg = replace(
-                cfg,
-                parallel=replace(
-                    cfg.parallel,
-                    backend="serial" if workers == 1 else "process",
-                    n_workers=workers,
-                ),
-            )
-        return cfg
 
     # -- step a -------------------------------------------------------------
     def volume_ft(self, timer: StepTimer | None = None) -> Array:
@@ -284,8 +188,6 @@ class OrientationRefiner:
         apix: float | None = None,
         refine_centers: bool = True,
         keep_level_snapshots: bool = False,
-        n_workers: int | None = None,
-        scheduler=None,
         checkpoint_path: str | None = None,
         resume: bool = False,
         backend=None,
@@ -310,11 +212,7 @@ class OrientationRefiner:
         ``backend`` injects a pre-built
         :class:`~repro.engine.backends.ExecutionBackend` for the level
         fan-out (the caller owns its lifetime); by default the backend is
-        built from the refiner's config.  ``n_workers`` overrides the
-        config's worker count for this call; ``scheduler`` injects a
-        pre-built (possibly shared)
-        :class:`~repro.parallel.viewsched.ViewScheduler` instead — the
-        caller then owns its lifetime.  All fan-out strategies are
+        built from the refiner's config.  All fan-out strategies are
         bit-identical.
 
         ``checkpoint_path`` enables level-granular fault tolerance: after
@@ -446,18 +344,20 @@ class OrientationRefiner:
         fts, modulations = self.prepare_views(images, ctf, pix, timer)
 
         snapshots: list[list[Orientation]] = []
-        # Imported lazily: repro.engine.backends pulls in repro.parallel,
-        # which imports this module at package import time.
-        from repro.engine.backends import ProcessBackend, make_backend
-
         own_backend = backend is None
         if backend is None:
-            if scheduler is not None:
-                # legacy injection contract: adopt the caller's pool,
-                # never close it (ProcessBackend.close is a no-op then)
-                backend = ProcessBackend(scheduler=scheduler)
-            else:
-                backend = make_backend(self._run_config(n_workers))
+            if self.config.parallel.backend == "sim":
+                # the sim backend cannot drive this level-granular loop
+                raise ConfigError(
+                    "OrientationRefiner runs the serial/process backends; "
+                    "route parallel.backend = 'sim' configs through "
+                    "RefinementEngine.run() instead"
+                )
+            # Imported lazily: repro.engine.backends pulls in repro.parallel,
+            # which imports this module at package import time.
+            from repro.engine.backends import make_backend
+
+            backend = make_backend(self.config)
         # Symmetry restriction (DESIGN.md §13): resolved once per iteration
         # against the *current* map — a fixed group by name, or a detection
         # run fanned out through the backend.  The restriction then rides

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.density import asymmetric_phantom
+from repro.engine import EngineConfig
 from repro.imaging.simulate import SimulatedViews, simulate_views
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.refiner import OrientationRefiner, RefinementResult
@@ -67,7 +68,7 @@ def chaos_problem() -> tuple[SimulatedViews, OrientationRefiner, MultiResolution
             RefinementLevel(0.5, 0.5, half_steps=2),
         )
     )
-    refiner = OrientationRefiner(density, max_slides=2)
+    refiner = OrientationRefiner(density, config=EngineConfig(max_slides=2))
     return views, refiner, schedule
 
 

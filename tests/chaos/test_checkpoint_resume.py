@@ -9,11 +9,13 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig, KernelConfig, MemoConfig, ProcessBackend
 from repro.faults.checkpoint import (
     RefinementCheckpoint,
     load_checkpoint,
@@ -36,10 +38,18 @@ def interrupted_run(chaos_problem, ckpt_path, level_seq=1):
     try:
         with pytest.raises(FaultInjected):
             refiner.refine(
-                views, schedule=schedule, scheduler=scheduler, checkpoint_path=ckpt_path
+                views,
+                schedule=schedule,
+                backend=ProcessBackend(scheduler=scheduler),
+                checkpoint_path=ckpt_path,
             )
     finally:
         scheduler.close()
+
+
+def run_fingerprint(refiner, schedule):
+    """The engine fingerprint the refiner stamps on this schedule's checkpoints."""
+    return refiner.config.with_schedule(schedule).fingerprint()
 
 
 def test_resume_after_abort_is_bit_identical(chaos_problem, baseline, tmp_path):
@@ -74,7 +84,12 @@ def test_fingerprint_mismatch_starts_fresh(chaos_problem, baseline, tmp_path):
     other = MultiResolutionSchedule((RefinementLevel(2.0, 2.0, half_steps=1),))
     refiner.refine(views, schedule=other, checkpoint_path=ckpt)
 
-    assert try_load_checkpoint(ckpt, schedule.fingerprint(), len(views)) is None
+    assert (
+        try_load_checkpoint(
+            ckpt, schedule.fingerprint(), len(views), run_fingerprint(refiner, schedule)
+        )
+        is None
+    )
     resumed = refiner.refine(views, schedule=schedule, checkpoint_path=ckpt, resume=True)
     assert_identical(resumed, baseline)
 
@@ -95,43 +110,56 @@ def test_engine_fingerprint_mismatch_fails_loudly(chaos_problem, tmp_path):
 
     density = refiner.density
     for variant in (
-        OrientationRefiner(density, max_slides=2, kernel="fused"),
-        OrientationRefiner(density, max_slides=2, memo=False),
+        OrientationRefiner(
+            density, config=EngineConfig(kernel=KernelConfig(kernel="reference"), max_slides=2)
+        ),
+        OrientationRefiner(
+            density, config=EngineConfig(memo=MemoConfig(enabled=False), max_slides=2)
+        ),
     ):
         with pytest.raises(CheckpointConfigMismatch):
             variant.refine(views, schedule=schedule, checkpoint_path=ckpt, resume=True)
 
     # the matching config still resumes cleanly
-    again = OrientationRefiner(density, max_slides=2)
+    again = OrientationRefiner(density, config=EngineConfig(max_slides=2))
     again.refine(views, schedule=schedule, checkpoint_path=ckpt, resume=True)
 
 
-def test_legacy_checkpoint_without_engine_fingerprint_resumes(
+def test_checkpoint_without_engine_fingerprint_is_ignored(
     chaos_problem, baseline, tmp_path
 ):
-    """Pre-engine checkpoints (no engine fingerprint header) stay loadable."""
+    """A header without an engine fingerprint is not a usable checkpoint:
+    the run starts fresh, exactly as it does on a schedule mismatch."""
     views, refiner, schedule = chaos_problem
     ckpt = str(tmp_path / "run.ckpt")
     interrupted_run(chaos_problem, ckpt)
-    saved = load_checkpoint(ckpt)
-    stripped = RefinementCheckpoint(
-        schedule_fingerprint=saved.schedule_fingerprint,
-        levels_done=saved.levels_done,
-        orientations=saved.orientations,
-        distances=saved.distances,
-        stats=saved.stats,
-        memo=saved.memo,
-        engine_fingerprint="",
-    )
-    save_checkpoint(ckpt, stripped)
+    fingerprint = run_fingerprint(refiner, schedule)
+    assert try_load_checkpoint(ckpt, schedule.fingerprint(), len(views), fingerprint)
 
-    resumed = refiner.refine(views, schedule=schedule, checkpoint_path=ckpt, resume=True)
+    with open(ckpt) as fh:
+        lines = fh.readlines()
+    for i, line in enumerate(lines):
+        body = line.lstrip("#").strip()
+        if body.startswith("meta "):
+            meta = json.loads(body[len("meta ") :])
+            del meta["engine_fingerprint"]
+            lines[i] = f"# meta {json.dumps(meta, sort_keys=True)}\n"
+    with open(ckpt, "w") as fh:
+        fh.writelines(lines)
+    assert try_load_checkpoint(ckpt, schedule.fingerprint(), len(views), fingerprint) is None
+
+    resumed = refiner.refine(
+        views, schedule=schedule, checkpoint_path=ckpt, resume=True,
+        keep_level_snapshots=True,
+    )
+    assert len(resumed.per_level_orientations) == len(schedule)  # every level re-ran
     assert_identical(resumed, baseline)
+    assert resumed.stats == baseline.stats
 
 
 def test_engine_routed_abort_and_resume(chaos_problem, baseline, tmp_path):
     """The config'd engine path survives an abort-level fault and resumes
-    bit-identically — same contract as the legacy kwargs path."""
+    bit-identically — same contract as the direct refiner path."""
     from repro.engine import (
         EngineConfig,
         ParallelConfig,
@@ -180,6 +208,7 @@ def test_checkpoint_write_is_atomic(tmp_path, baseline, monkeypatch):
         orientations=baseline.orientations,
         distances=np.asarray(baseline.distances),
         stats=baseline.stats,
+        engine_fingerprint="e" * 16,
     )
     save_checkpoint(path, good)
     before = open(path).read()
@@ -221,6 +250,7 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
         orientations=orients,
         distances=dists,
         stats=RefinementStats(n_views=5),
+        engine_fingerprint="e" * 16,
     )
     path = str(tmp_path / "ckpt.orient")
     save_checkpoint(path, ckpt)
@@ -289,7 +319,10 @@ def test_pruned_resume_replays_same_prune_decisions(chaos_problem, tmp_path):
     try:
         with pytest.raises(FaultInjected):
             interrupted.refine(
-                views, schedule=schedule, scheduler=scheduler, checkpoint_path=ckpt
+                views,
+                schedule=schedule,
+                backend=ProcessBackend(scheduler=scheduler),
+                checkpoint_path=ckpt,
             )
     finally:
         scheduler.close()
@@ -323,6 +356,7 @@ def test_resume_without_memo_is_also_bit_identical(chaos_problem, baseline, tmp_
         orientations=saved.orientations,
         distances=saved.distances,
         stats=saved.stats,
+        engine_fingerprint=saved.engine_fingerprint,
         memo=None,
     )
     save_checkpoint(ckpt, stripped)

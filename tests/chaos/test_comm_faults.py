@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig, ParallelConfig, ScheduleConfig
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.parallel.comm import run_spmd
 from repro.parallel.prefine import parallel_refine
@@ -45,9 +46,13 @@ def test_fabric_faults_cost_time_not_values(kind):
     views = sindbis_like_dataset(size=16, n_views=4, snr=10.0, seed=4)
     schedule = MultiResolutionSchedule((RefinementLevel(1.0, 1.0, half_steps=2),))
 
-    clean = parallel_refine(views, density, n_ranks=2, schedule=schedule)
+    config = EngineConfig(
+        schedule=ScheduleConfig.from_schedule(schedule),
+        parallel=ParallelConfig(backend="sim", n_ranks=2),
+    )
+    clean = parallel_refine(views, density, config)
     plan = FaultPlan((FaultSpec(kind, "msg:0->*", times=3, delay_s=0.25),))
-    faulty = parallel_refine(views, density, n_ranks=2, schedule=schedule, fault_plan=plan)
+    faulty = parallel_refine(views, density, config, fault_plan=plan)
 
     for got, want in zip(faulty.orientations, clean.orientations):
         assert got.as_tuple() == want.as_tuple()

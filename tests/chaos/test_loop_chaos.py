@@ -25,6 +25,7 @@ from repro.engine.config import (
     ParallelConfig,
     ScheduleConfig,
 )
+from repro.engine.backends import ProcessBackend
 from repro.faults.checkpoint import (
     iteration_checkpoint_path,
     load_checkpoint,
@@ -154,7 +155,10 @@ def test_multi_basin_state_rides_the_checkpoint(chaos_problem, tmp_path):
     try:
         with pytest.raises(FaultInjected):
             OrientationRefiner(refiner.density, config=config).refine(
-                views, schedule=schedule, scheduler=scheduler, checkpoint_path=ckpt
+                views,
+                schedule=schedule,
+                backend=ProcessBackend(scheduler=scheduler),
+                checkpoint_path=ckpt,
             )
     finally:
         scheduler.close()

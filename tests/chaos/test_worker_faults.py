@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.engine import ProcessBackend
 from repro.faults.plan import FaultPlan, FaultSpec, chunk_site
 from repro.faults.retry import RetryPolicy
 from repro.parallel.viewsched import ViewScheduler
@@ -28,7 +29,8 @@ def run_chaos(chaos_problem, plan, *, n_workers=2, policy=None):
     views, refiner, schedule = chaos_problem
     scheduler = ViewScheduler(n_workers=n_workers, retry_policy=policy, fault_plan=plan)
     try:
-        result = refiner.refine(views, schedule=schedule, scheduler=scheduler)
+        backend = ProcessBackend(scheduler=scheduler)
+        result = refiner.refine(views, schedule=schedule, backend=backend)
         return result, scheduler.fault_log
     finally:
         scheduler.close()
@@ -119,7 +121,9 @@ def test_killed_worker_leaks_no_shm(chaos_problem, baseline):
         box = {}
 
         def run():
-            box["result"] = refiner.refine(views, schedule=schedule, scheduler=scheduler)
+            box["result"] = refiner.refine(
+                views, schedule=schedule, backend=ProcessBackend(scheduler=scheduler)
+            )
 
         t = threading.Thread(target=run)
         t.start()

@@ -1,10 +1,10 @@
-"""The fused in-band kernel must reproduce the reference path exactly.
+"""The in-band batched kernel must reproduce the reference path exactly.
 
-Every test here compares ``kernel="fused"`` against ``kernel="reference"``
-(or :class:`MatchPlan` band gathers against full-slice gathers).  The fused
-kernel is constructed to follow the same floating-point expression order as
-the reference, so the required rtol=1e-10 equivalences are in fact
-bit-exact — asserted with ``==`` / ``array_equal`` where possible.
+Every test here compares ``kernel="batched"`` against ``kernel="reference"``
+(or :class:`MatchPlan` band gathers against full-slice gathers).  The
+in-band kernel is constructed to follow the same floating-point expression
+order as the reference, so the required rtol=1e-10 equivalences are in
+fact bit-exact — asserted with ``==`` / ``array_equal`` where possible.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from repro.align.distance import DistanceComputer, radius_weights
 from repro.align.fused import MatchPlan, get_match_plan
 from repro.align.grid import orientation_window
-from repro.align.matcher import match_view, match_view_band
+from repro.align.matcher import match_view, match_view_window
 from repro.ctf.model import CTFParams, ctf_2d
 from repro.fourier.slicing import extract_slice, extract_slices
 from repro.geometry.euler import Orientation
@@ -54,7 +54,7 @@ def _computers():
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 @pytest.mark.parametrize("dc_index", range(4))
 def test_cut_bands_match_full_slices(volume_ft, dc_index, interpolation):
-    """Fused band gather == full slice then mask, for every config."""
+    """Band gather == full slice then mask, for every config."""
     dc = _computers()[dc_index]
     plan = MatchPlan(dc, volume_ft.shape[0], interpolation)
     grid = orientation_window(Orientation(40.0, 30.0, 70.0), 2.0, 2)
@@ -65,21 +65,22 @@ def test_cut_bands_match_full_slices(volume_ft, dc_index, interpolation):
     assert got.shape == (grid.size, dc.n_samples)
     assert np.array_equal(got, expected)
 
+    # a single rotation squeezes to one band vector
     one = plan.cut_band(volume_ft, rots[3])
     assert np.array_equal(one, expected[3])
 
 
 @pytest.mark.parametrize("dc_index", range(4))
-def test_match_view_band_equals_match_view(volume_ft, view_ft, dc_index):
+def test_match_view_window_equals_match_view(volume_ft, view_ft, dc_index):
     dc = _computers()[dc_index]
     plan = get_match_plan(dc, volume_ft.shape[0])
     grid = orientation_window(Orientation(25.0, 50.0, 10.0), 3.0, 2)
     ref = match_view(view_ft, volume_ft, grid, distance_computer=dc)
-    fused = match_view_band(plan.gather_view(view_ft), volume_ft, grid, plan)
-    assert fused.flat_index == ref.flat_index
-    assert fused.distance == ref.distance
-    assert fused.on_edge == ref.on_edge
-    assert np.array_equal(fused.distances, ref.distances)
+    got = match_view_window(plan.gather_view(view_ft), volume_ft, grid, plan)
+    assert got.flat_index == ref.flat_index
+    assert got.distance == ref.distance
+    assert got.on_edge == ref.on_edge
+    assert np.array_equal(got.distances, ref.distances)
 
 
 def test_match_with_ctf_modulation(volume_ft, view_ft):
@@ -89,11 +90,11 @@ def test_match_with_ctf_modulation(volume_ft, view_ft):
     plan = get_match_plan(dc, volume_ft.shape[0])
     grid = orientation_window(Orientation(25.0, 50.0, 10.0), 3.0, 1)
     ref = match_view(view_ft, volume_ft, grid, distance_computer=dc, cut_modulation=mod)
-    fused = match_view_band(
+    got = match_view_window(
         plan.gather_view(view_ft), volume_ft, grid, plan, cut_modulation=mod
     )
-    assert fused.distance == ref.distance
-    assert np.array_equal(fused.distances, ref.distances)
+    assert got.distance == ref.distance
+    assert np.array_equal(got.distances, ref.distances)
 
 
 def test_unpadded_volume_uses_masked_path(volume_ft_unpadded, view_ft):
@@ -103,8 +104,8 @@ def test_unpadded_volume_uses_masked_path(volume_ft_unpadded, view_ft):
     assert not plan.all_interior
     grid = orientation_window(Orientation(65.0, 20.0, 110.0), 4.0, 1)
     ref = match_view(view_ft, volume_ft_unpadded, grid, distance_computer=dc)
-    fused = match_view_band(plan.gather_view(view_ft), volume_ft_unpadded, grid, plan)
-    assert np.array_equal(fused.distances, ref.distances)
+    got = match_view_window(plan.gather_view(view_ft), volume_ft_unpadded, grid, plan)
+    assert np.array_equal(got.distances, ref.distances)
 
 
 def test_oversampled_volume_is_interior(volume_ft):
@@ -118,34 +119,20 @@ def test_oversampled_volume_is_interior(volume_ft):
     assert not MatchPlan(DistanceComputer(L), volume_ft.shape[0]).all_interior
 
 
-def test_refine_center_fused_equals_reference(volume_ft, view_ft):
+def test_refine_center_batched_equals_reference(volume_ft, view_ft):
     dc = DistanceComputer(L, r_max=6.0, weights=radius_weights(L, "radius", 6.0))
     cut = extract_slice(volume_ft, Orientation(33.0, 44.0, 55.0).matrix(), out_size=L)
     kwargs = dict(center=(0.4, -0.2), step_px=0.25, half_steps=1, max_slides=8)
     ref = refine_center(view_ft, cut, distance_computer=dc, kernel="reference", **kwargs)
-    fused = refine_center(view_ft, cut, distance_computer=dc, kernel="fused", **kwargs)
-    assert (fused.cx, fused.cy) == (ref.cx, ref.cy)
-    assert fused.distance == ref.distance
-    assert fused.n_evaluations == ref.n_evaluations
-    assert fused.slid == ref.slid
-
-
-def test_sliding_window_fused_equals_reference(volume_ft, view_ft):
-    """Equivalence must hold through window slides (edge winners re-center)."""
-    dc = DistanceComputer(L)
-    kwargs = dict(step_deg=5.0, half_steps=1, max_slides=8, distance_computer=dc)
-    start = Orientation(10.0, 80.0, 200.0)
-    ref = sliding_window_search(view_ft, volume_ft, start, kernel="reference", **kwargs)
-    fused = sliding_window_search(view_ft, volume_ft, start, kernel="fused", **kwargs)
-    assert fused.orientation.as_tuple() == ref.orientation.as_tuple()
-    assert fused.distance == ref.distance
-    assert fused.n_windows == ref.n_windows
-    assert fused.n_matches == ref.n_matches
-    assert fused.slid == ref.slid
+    got = refine_center(view_ft, cut, distance_computer=dc, kernel="batched", **kwargs)
+    assert (got.cx, got.cy) == (ref.cx, ref.cy)
+    assert got.distance == ref.distance
+    assert got.n_evaluations == ref.n_evaluations
+    assert got.slid == ref.slid
 
 
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
-def test_refine_view_at_level_fused_equals_reference(volume_ft, view_ft, interpolation):
+def test_refine_view_at_level_batched_equals_reference(volume_ft, view_ft, interpolation):
     """Full per-view level refinement: same orientation, center and distance."""
     dc = DistanceComputer(L, r_max=6.0)
     kwargs = dict(
@@ -158,11 +145,11 @@ def test_refine_view_at_level_fused_equals_reference(volume_ft, view_ft, interpo
     )
     start = Orientation(50.0, 30.0, 120.0, cx=0.3, cy=-0.4)
     ref = refine_view_at_level(view_ft, volume_ft, start, kernel="reference", **kwargs)
-    fused = refine_view_at_level(view_ft, volume_ft, start, kernel="fused", **kwargs)
-    assert fused.orientation.as_tuple() == ref.orientation.as_tuple()
-    assert fused.distance == ref.distance
-    assert fused.n_matches == ref.n_matches
-    assert fused.n_center_evals == ref.n_center_evals
+    got = refine_view_at_level(view_ft, volume_ft, start, kernel="batched", **kwargs)
+    assert got.orientation.as_tuple() == ref.orientation.as_tuple()
+    assert got.distance == ref.distance
+    assert got.n_matches == ref.n_matches
+    assert got.n_center_evals == ref.n_center_evals
 
 
 def test_phase_shift_band_matches_full_shift(view_ft):
@@ -224,32 +211,41 @@ def test_plan_validates_inputs():
 # -- the batched whole-window engine -----------------------------------------
 @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
 @pytest.mark.parametrize("dc_index", range(4))
-def test_cut_bands_batched_equals_cut_bands(volume_ft, dc_index, interpolation):
-    """The stacked interior/edge gather == the per-candidate fused gather."""
+def test_cut_bands_batched_equals_cut_bands(volume_ft, dc_index, interpolation, monkeypatch):
+    """A whole window gathered in one stacked call (in rotation chunks) ==
+    the same rotations gathered one at a time."""
+    from repro.align.fused import REPRO_GATHER_CHUNK
+
     dc = _computers()[dc_index]
     plan = MatchPlan(dc, volume_ft.shape[0], interpolation)
     grid = orientation_window(Orientation(40.0, 30.0, 70.0), 2.0, 2)
     rots = grid.rotation_stack()
-    assert np.array_equal(plan.cut_bands_batched(volume_ft, rots), plan.cut_bands(volume_ft, rots))
-    # single-rotation input squeezes exactly like cut_bands
-    assert np.array_equal(
-        plan.cut_bands_batched(volume_ft, rots[3]), plan.cut_band(volume_ft, rots[3])
-    )
+    one_by_one = np.stack([plan.cut_band(volume_ft, r) for r in rots])
+    assert np.array_equal(plan.cut_bands(volume_ft, rots), one_by_one)
+    monkeypatch.setenv(REPRO_GATHER_CHUNK, str(7 * dc.n_samples))  # 7 rotations/chunk
+    assert np.array_equal(plan.cut_bands(volume_ft, rots), one_by_one)
+
+
+def _reference_distances(volume_ft, view_ft, dc, rots, cut_modulation=None):
+    cuts = extract_slices(volume_ft, rots, out_size=L)
+    return dc.distance_batch(view_ft, cuts, cut_modulation=cut_modulation)
 
 
 @pytest.mark.parametrize("dc_index", range(4))
 def test_match_window_equals_distances(volume_ft, view_ft, dc_index):
+    """match_window == the reference distances of full cuts, bit for bit."""
     dc = _computers()[dc_index]
     plan = get_match_plan(dc, volume_ft.shape[0])
     band = plan.gather_view(view_ft)
     rots = orientation_window(Orientation(25.0, 50.0, 10.0), 3.0, 2).rotation_stack()
     assert np.array_equal(
-        plan.match_window(volume_ft, band, rots), plan.distances(volume_ft, band, rots)
+        plan.match_window(volume_ft, band, rots),
+        _reference_distances(volume_ft, view_ft, dc, rots),
     )
-    # a single (3, 3) rotation keeps the (1,) shape, matching distances()
+    # a single (3, 3) rotation keeps the (1,) shape
     one = plan.match_window(volume_ft, band, rots[5])
     assert one.shape == (1,)
-    assert np.array_equal(one, plan.distances(volume_ft, band, rots[5]))
+    assert np.array_equal(one, _reference_distances(volume_ft, view_ft, dc, rots[5:6]))
 
 
 def test_match_window_with_ctf_modulation(volume_ft, view_ft):
@@ -262,7 +258,7 @@ def test_match_window_with_ctf_modulation(volume_ft, view_ft):
     rots = orientation_window(Orientation(12.0, 60.0, 300.0), 2.0, 1).rotation_stack()
     assert np.array_equal(
         plan.match_window(volume_ft, band, rots, cut_modulation=modulation),
-        plan.distances(volume_ft, band, rots, cut_modulation=modulation),
+        _reference_distances(volume_ft, view_ft, dc, rots, cut_modulation=modulation),
     )
 
 
@@ -282,7 +278,7 @@ def test_gather_chunk_env_override(volume_ft, view_ft, monkeypatch):
     baseline = plan.match_window(volume_ft, band, rots)
     monkeypatch.setenv(REPRO_GATHER_CHUNK, "1")
     assert _gather_chunk_target(1 << 16) == 1
-    assert plan._rotation_chunk(1 << 16) == 1
+    assert plan._rotation_chunk() == 1
     # chunking is a pure batching decision: any chunk size, same bits
     assert np.array_equal(plan.match_window(volume_ft, band, rots), baseline)
 
@@ -296,24 +292,41 @@ def test_gather_chunk_env_validation(monkeypatch, bad):
         _gather_chunk_target(1 << 16)
 
 
-def test_sliding_window_batched_equals_fused(volume_ft, view_ft):
+def test_sliding_window_batched_equals_reference(volume_ft, view_ft):
+    """Equivalence must hold through window slides (edge winners re-center)."""
+    dc = DistanceComputer(L)
+    kwargs = dict(step_deg=5.0, half_steps=1, max_slides=8, distance_computer=dc)
+    start = Orientation(10.0, 80.0, 200.0)
+    ref = sliding_window_search(view_ft, volume_ft, start, kernel="reference", **kwargs)
+    batched = sliding_window_search(view_ft, volume_ft, start, kernel="batched", **kwargs)
+    assert batched.orientation.as_tuple() == ref.orientation.as_tuple()
+    assert batched.distance == ref.distance
+    assert batched.n_windows == ref.n_windows
+    assert batched.n_matches == ref.n_matches
+    assert batched.slid == ref.slid
+    assert batched.centers == ref.centers
+
+
+def test_sliding_window_memoized_batched_equals_reference(volume_ft, view_ft):
+    """A memoized batched scan matches the reference and replays from the memo."""
     from repro.align.memo import OrientationMemo
     from repro.perf import PerfCounters
 
     dc = DistanceComputer(L)
     kwargs = dict(step_deg=5.0, half_steps=1, max_slides=8, distance_computer=dc)
     start = Orientation(10.0, 80.0, 200.0)
-    fused = sliding_window_search(view_ft, volume_ft, start, kernel="fused", **kwargs)
+    ref = sliding_window_search(view_ft, volume_ft, start, kernel="reference", **kwargs)
     memo = OrientationMemo()
     counters = PerfCounters()
     batched = sliding_window_search(
         view_ft, volume_ft, start, kernel="batched", memo=memo, counters=counters, **kwargs
     )
-    assert batched.orientation.as_tuple() == fused.orientation.as_tuple()
-    assert batched.distance == fused.distance
-    assert batched.n_windows == fused.n_windows
-    assert batched.n_matches == fused.n_matches
-    assert batched.centers == fused.centers
+    assert batched.orientation.as_tuple() == ref.orientation.as_tuple()
+    assert batched.distance == ref.distance
+    assert batched.n_windows == ref.n_windows
+    assert batched.n_matches == ref.n_matches
+    assert batched.slid == ref.slid
+    assert batched.centers == ref.centers
     assert counters.window_calls == batched.n_windows
     assert len(memo) > 0
     # second scan from the same start: every candidate comes from the memo

@@ -135,6 +135,7 @@ def test_checkpoint_memo_header_roundtrip_is_exact(tmp_path):
         orientations=[Orientation(1.0, 2.0, 3.0)],
         distances=np.array([0.5]),
         stats=RefinementStats(),
+        engine_fingerprint="e" * 16,
         memo=store.export_state(),
     )
     save_checkpoint(path, ckpt)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.density import asymmetric_phantom
+from repro.engine import EngineConfig, KernelConfig
 from repro.imaging.simulate import simulate_views
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.refiner import OrientationRefiner
@@ -35,7 +36,9 @@ def test_batched_matches_reference_small():
     )
     results = {}
     for kernel in ("reference", "batched"):
-        refiner = OrientationRefiner(density, kernel=kernel)
+        refiner = OrientationRefiner(
+            density, config=EngineConfig(kernel=KernelConfig(kernel=kernel))
+        )
         results[kernel] = refiner.refine(views, schedule=schedule)
     ref, bat = results["reference"], results["batched"]
     assert [o.as_tuple() for o in ref.orientations] == [
@@ -49,8 +52,6 @@ def test_pruned_matches_reference_small():
     """The pruned slice of the benchmark claim: the early-termination bound
     abandons a real fraction of the window at l = 16 while reproducing the
     reference bits exactly."""
-    from repro.engine.config import EngineConfig
-
     size = 16
     density = asymmetric_phantom(size, seed=0).normalized()
     views = simulate_views(
@@ -62,12 +63,10 @@ def test_pruned_matches_reference_small():
             RefinementLevel(1.0, 0.5, half_steps=2),
         )
     )
-    reference = OrientationRefiner(density, kernel="reference").refine(
-        views, schedule=schedule
-    )
-    config = EngineConfig.from_dict(
-        {**OrientationRefiner(density).config.to_dict(), "prune": {"enabled": True}}
-    )
+    reference = OrientationRefiner(
+        density, config=EngineConfig(kernel=KernelConfig(kernel="reference"))
+    ).refine(views, schedule=schedule)
+    config = EngineConfig.from_dict({"prune": {"enabled": True}})
     pruned = OrientationRefiner(density, config=config).refine(views, schedule=schedule)
     assert [o.as_tuple() for o in reference.orientations] == [
         o.as_tuple() for o in pruned.orientations

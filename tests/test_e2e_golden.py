@@ -2,7 +2,7 @@
 
 The committed ``tests/golden/refine_tiny.npz`` pins the exact bits a tiny
 phantom refines to on the 1° → 0.1° schedule.  Every execution
-configuration — fused and reference kernels, serial and pooled schedulers
+configuration — batched and reference kernels, serial and pooled schedulers
 — must reproduce those bits, which nails down three properties at once:
 the kernels agree, the pool is bit-identical to the serial loop, and the
 numerics have not drifted since the golden file was generated
@@ -108,12 +108,20 @@ def test_pruned_engine_matches_golden(tiny_problem, golden):
     assert run.perf is not None and run.perf.pruned > 0
 
 
-@pytest.mark.parametrize("kernel", ["fused", "reference"])
+@pytest.mark.parametrize("kernel", ["batched", "reference"])
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_refinement_matches_golden(tiny_problem, golden, kernel, n_workers):
+    from repro.engine import EngineConfig, KernelConfig, ParallelConfig
+
     density, views, schedule = tiny_problem
-    refiner = OrientationRefiner(density, max_slides=2, kernel=kernel, n_workers=n_workers)
-    result = refiner.refine(views, schedule=schedule)
+    config = EngineConfig(
+        kernel=KernelConfig(kernel=kernel),
+        parallel=ParallelConfig(
+            backend="serial" if n_workers == 1 else "process", n_workers=n_workers
+        ),
+        max_slides=2,
+    )
+    result = OrientationRefiner(density, config=config).refine(views, schedule=schedule)
     got = np.array([o.as_tuple() for o in result.orientations])
     want_orient, want_dist, _ = golden
     assert np.array_equal(got, want_orient), (

@@ -1,8 +1,7 @@
 """Tests for the execution backends and the engine front door.
 
-Dispatch, lifetime ownership, and — the refactor's load-bearing claim —
-bit-identical equivalence between the engine-routed paths and the legacy
-kwarg paths they replaced.
+Dispatch, lifetime ownership, and bit-identical equivalence between the
+engine-routed paths and the drivers they route to.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.engine import (
     make_backend,
 )
 from repro.imaging import simulate_views
-from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.refiner import OrientationRefiner
 
 SCHED_LEVELS = ((1.0, 1.0, 2, 1), (0.5, 0.5, 2, 1))
@@ -72,7 +70,7 @@ def test_injected_scheduler_is_adopted_not_owned():
     from repro.parallel.viewsched import ViewScheduler
 
     with ViewScheduler(n_workers=2) as scheduler:
-        backend = make_backend(EngineConfig(), scheduler=scheduler)
+        backend = ProcessBackend(scheduler=scheduler)
         assert isinstance(backend, ProcessBackend)
         assert backend.scheduler is scheduler
         assert backend._owned is False
@@ -85,36 +83,19 @@ def test_sim_backend_refuses_level_granular_calls():
         backend.run_level()
 
 
-# -- legacy-shim equivalence -------------------------------------------------
-def test_refiner_config_matches_kwargs_bitwise(phantom16, dataset):
-    """OrientationRefiner(config=...) == the old kwargs path, bit for bit."""
-    sched = MultiResolutionSchedule(
-        (RefinementLevel(1.0, 1.0, half_steps=2), RefinementLevel(0.5, 0.5, half_steps=2))
-    )
-    old = OrientationRefiner(
-        phantom16, r_max=6.0, max_slides=2, kernel="batched"
-    ).refine(dataset, schedule=sched)
-    new = OrientationRefiner(phantom16, config=small_config()).refine(
-        dataset, schedule=sched
-    )
-    assert [o.as_tuple() for o in new.orientations] == [
-        o.as_tuple() for o in old.orientations
-    ]
-    assert np.array_equal(new.distances, old.distances)
-
-
-def test_engine_serial_matches_legacy_refiner_bitwise(phantom16, dataset):
+# -- engine == driver equivalence ------------------------------------------
+def test_engine_serial_matches_refiner_bitwise(phantom16, dataset):
     sched = small_config().schedule.to_schedule()
-    legacy = OrientationRefiner(phantom16, r_max=6.0, max_slides=2).refine(
+    direct = OrientationRefiner(phantom16, config=small_config()).refine(
         dataset, schedule=sched
     )
     run = RefinementEngine(small_config()).run(dataset, phantom16)
     assert run.backend == "serial"
     assert run.fingerprint == small_config().fingerprint()
     assert [o.as_tuple() for o in run.orientations] == [
-        o.as_tuple() for o in legacy.orientations
+        o.as_tuple() for o in direct.orientations
     ]
-    assert np.array_equal(run.distances, legacy.distances)
+    assert np.array_equal(run.distances, direct.distances)
 
 
 def test_engine_process_matches_serial_bitwise(phantom16, dataset):
@@ -130,24 +111,21 @@ def test_engine_process_matches_serial_bitwise(phantom16, dataset):
     assert pooled.fingerprint == serial.fingerprint
 
 
-def test_engine_sim_matches_legacy_parallel_refine_bitwise(phantom16, dataset):
+def test_engine_sim_matches_parallel_refine_bitwise(phantom16, dataset):
     from repro.parallel import parallel_refine
 
     cfg = small_config(
         parallel=ParallelConfig(backend="sim", n_ranks=2),
-        kernel=KernelConfig(kernel="fused"),
+        kernel=KernelConfig(kernel="reference"),
     )
-    legacy = parallel_refine(
-        dataset, phantom16, n_ranks=2, schedule=cfg.schedule.to_schedule(),
-        r_max=6.0, kernel="fused",
-    )
+    direct = parallel_refine(dataset, phantom16, cfg)
     run = RefinementEngine(cfg).run(dataset, phantom16)
     assert run.backend == "sim"
     assert run.report is not None
     assert [o.as_tuple() for o in run.orientations] == [
-        o.as_tuple() for o in legacy.orientations
+        o.as_tuple() for o in direct.orientations
     ]
-    assert np.array_equal(run.distances, legacy.distances)
+    assert np.array_equal(run.distances, direct.distances)
 
 
 # -- engine guard rails ------------------------------------------------------

@@ -16,6 +16,7 @@ from repro import (
     reconstruct_from_views,
     simulate_views,
 )
+from repro.engine import EngineConfig
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.stats import angular_errors
 from repro.utils import default_rng
@@ -34,7 +35,7 @@ def test_full_cycle_improves_map(phantom24, sched):
     views = simulate_views(
         phantom24, 24, snr=4.0, center_sigma_px=0.5, initial_angle_error_deg=3.0, seed=0
     )
-    refiner = OrientationRefiner(phantom24, r_max=9, max_slides=2)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=9.0, max_slides=2))
     result = refiner.refine(views, schedule=sched)
     rec_initial = reconstruct_from_views(views.images, views.initial_orientations)
     rec_refined = reconstruct_from_views(views.images, result.orientations)
@@ -101,7 +102,7 @@ def test_micrograph_to_orientations(phantom24, sched):
         )
         for i in order
     ]
-    refiner = OrientationRefiner(phantom24, r_max=8, max_slides=2)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=8.0, max_slides=2))
     result = refiner.refine(stack, initial_orientations=init, schedule=sched)
     truth = [mg.true_orientations[i] for i in order]
     errs = angular_errors(result.orientations, truth)
@@ -118,7 +119,7 @@ def test_ctf_pipeline_end_to_end(sched):
     views = simulate_views(
         density, 16, snr=5.0, ctf=ctf, initial_angle_error_deg=3.0, seed=4
     )
-    refiner = OrientationRefiner(density, r_max=8, max_slides=2)
+    refiner = OrientationRefiner(density, config=EngineConfig(r_max=8.0, max_slides=2))
     result = refiner.refine(views, schedule=sched)
     errs = angular_errors(result.orientations, views.true_orientations)
     errs0 = angular_errors(views.initial_orientations, views.true_orientations)
@@ -143,8 +144,9 @@ def test_mrc_roundtrip_through_pipeline(tmp_path, phantom24):
     stack, _ = read_mrc(stack_path)
     density2 = DensityMap(data, apix)
     sched = MultiResolutionSchedule((RefinementLevel(1.0, 1.0, half_steps=1),))
-    r1 = OrientationRefiner(phantom24, r_max=8).refine(views, schedule=sched)
-    r2 = OrientationRefiner(density2, r_max=8).refine(
+    config = EngineConfig(r_max=8.0)
+    r1 = OrientationRefiner(phantom24, config=config).refine(views, schedule=sched)
+    r2 = OrientationRefiner(density2, config=config).refine(
         stack, initial_orientations=views.initial_orientations, schedule=sched
     )
     for a, b in zip(r1.orientations, r2.orientations):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig, ParallelConfig
 from repro.geometry.euler import Orientation
 from repro.imaging.simulate import simulate_views
 from repro.parallel.viewsched import (
@@ -101,7 +102,8 @@ def test_refiner_n_workers_bit_identical(phantom16):
         [RefinementLevel(2.0, 0.5, half_steps=2), RefinementLevel(0.5, 0.25, half_steps=2)]
     )
     r1 = OrientationRefiner(phantom16).refine(views, schedule=sched)
-    r2 = OrientationRefiner(phantom16, n_workers=2).refine(views, schedule=sched)
+    pooled = EngineConfig(parallel=ParallelConfig(backend="process", n_workers=2))
+    r2 = OrientationRefiner(phantom16, config=pooled).refine(views, schedule=sched)
     assert [o.as_tuple() for o in r1.orientations] == [o.as_tuple() for o in r2.orientations]
     assert np.array_equal(r1.distances, r2.distances)
     assert r1.stats == r2.stats

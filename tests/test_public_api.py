@@ -47,11 +47,12 @@ def test_quickstart_docstring_snippet_runs():
         simulate_views,
         sindbis_like_phantom,
     )
+    from repro.engine import EngineConfig
     from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 
     truth = sindbis_like_phantom(16).normalized()
     views = simulate_views(truth, 4, snr=4.0, initial_angle_error_deg=2.0)
-    refiner = OrientationRefiner(truth, r_max=6)
+    refiner = OrientationRefiner(truth, config=EngineConfig(r_max=6.0))
     sched = MultiResolutionSchedule((RefinementLevel(1.0, 1.0, half_steps=1),))
     result = refiner.refine(views, schedule=sched)
     new_map = reconstruct_from_views(views.images, result.orientations)

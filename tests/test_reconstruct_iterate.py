@@ -11,7 +11,6 @@ from repro.reconstruct import (
     determine_structure,
     iterations_until_stop,
     should_stop,
-    structure_determination_loop,
 )
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 
@@ -21,11 +20,11 @@ def mini_sched():
     return MultiResolutionSchedule((RefinementLevel(1.0, 1.0, half_steps=2),))
 
 
-def _loop_config(sched, streaming=True, path=None, resume=False, **iteration):
+def _loop_config(sched, streaming=True, path=None, resume=False, r_max=6.0, **iteration):
     iteration.setdefault("max_iterations", 2)
     return EngineConfig(
         schedule=ScheduleConfig.from_schedule(sched),
-        r_max=6.0,
+        r_max=r_max,
         iteration=IterationConfig(streaming=streaming, **iteration),
         checkpoint=CheckpointConfig(path=path, resume=resume),
     )
@@ -44,9 +43,7 @@ def test_loop_produces_history(phantom24, mini_sched):
         projection_method="fourier", seed=0,
     )
     start = phantom24.low_pass(10.0)
-    history = structure_determination_loop(
-        views, start, schedule=mini_sched, max_iterations=2, r_max=8
-    )
+    history = determine_structure(views, start, _loop_config(mini_sched, r_max=8.0)).history
     assert 1 <= len(history) <= 2
     rec = history[-1]
     assert rec.density.size == 24
@@ -63,9 +60,9 @@ def test_loop_improves_map_against_truth(phantom24, mini_sched):
     from repro.reconstruct import reconstruct_from_views
 
     initial_map = reconstruct_from_views(views.images, views.initial_orientations)
-    history = structure_determination_loop(
-        views, initial_map, schedule=mini_sched, max_iterations=2, r_max=7
-    )
+    history = determine_structure(
+        views, initial_map, _loop_config(mini_sched, r_max=7.0)
+    ).history
     cc_before = initial_map.normalized().correlation(phantom24)
     cc_after = history[-1].density.normalized().correlation(phantom24)
     assert cc_after > cc_before - 0.02  # must not degrade; usually improves
@@ -74,7 +71,7 @@ def test_loop_improves_map_against_truth(phantom24, mini_sched):
 def test_loop_validation(phantom24, mini_sched):
     views = simulate_views(phantom24, 4, seed=2)
     with pytest.raises(ValueError):
-        structure_determination_loop(views, phantom24, schedule=mini_sched, max_iterations=0)
+        determine_structure(views, phantom24, _loop_config(mini_sched, max_iterations=0))
 
 
 # -- the FSC stopping rule (pure function) -----------------------------------
@@ -212,16 +209,6 @@ def test_loop_checkpoint_refuses_foreign_initial_map(
         small_views, other_start, _loop_config(mini_sched, path=ckpt, resume=True)
     )
     assert fresh.resumed_iterations == 0
-
-
-def test_legacy_wrapper_matches_determine_structure(
-    small_views, phantom16, mini_sched
-):
-    history = structure_determination_loop(
-        small_views, phantom16, schedule=mini_sched, max_iterations=2, r_max=6.0
-    )
-    result = determine_structure(small_views, phantom16, _loop_config(mini_sched))
-    _assert_identical_histories(history, result.history)
 
 
 def test_determine_structure_raw_stack_requires_orientations(phantom16, small_views):

@@ -181,8 +181,11 @@ def test_refiner_pruned_parallel_matches_serial(small_problem):
     density, views, schedule = small_problem
     config = pruned_config(OrientationRefiner(density).config)
     serial = OrientationRefiner(density, config=config).refine(views, schedule=schedule)
-    pooled = OrientationRefiner(density, config=config).refine(
-        views, schedule=schedule, n_workers=2
+    pooled_config = pruned_config(
+        config, parallel={"backend": "process", "n_workers": 2}
+    )
+    pooled = OrientationRefiner(density, config=pooled_config).refine(
+        views, schedule=schedule
     )
     assert [o.as_tuple() for o in pooled.orientations] == [
         o.as_tuple() for o in serial.orientations

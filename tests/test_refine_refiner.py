@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ctf import CTFParams
+from repro.engine import EngineConfig
 from repro.imaging import simulate_views
 from repro.refine import OrientationRefiner
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
@@ -23,7 +24,7 @@ def test_refine_recovers_orientations_fourier_views(phantom24, quick_schedule):
         phantom24, 4, initial_angle_error_deg=4.0, center_sigma_px=0.5,
         projection_method="fourier", seed=0,
     )
-    refiner = OrientationRefiner(phantom24, r_max=10, max_slides=3)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=10.0, max_slides=3))
     result = refiner.refine(views, schedule=quick_schedule)
     errs = angular_errors(result.orientations, views.true_orientations)
     errs0 = angular_errors(views.initial_orientations, views.true_orientations)
@@ -38,7 +39,7 @@ def test_refine_with_noise_still_improves(phantom24, quick_schedule):
         phantom24, 4, snr=3.0, initial_angle_error_deg=4.0,
         projection_method="fourier", seed=1,
     )
-    refiner = OrientationRefiner(phantom24, r_max=10, max_slides=3)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=10.0, max_slides=3))
     result = refiner.refine(views, schedule=quick_schedule)
     errs = angular_errors(result.orientations, views.true_orientations)
     errs0 = angular_errors(views.initial_orientations, views.true_orientations)
@@ -57,7 +58,7 @@ def test_refine_with_ctf_correction(quick_schedule):
         density, 3, ctf=ctf, initial_angle_error_deg=3.0,
         projection_method="fourier", seed=2,
     )
-    refiner = OrientationRefiner(density, r_max=8, max_slides=3)
+    refiner = OrientationRefiner(density, config=EngineConfig(r_max=8.0, max_slides=3))
     result = refiner.refine(views, schedule=quick_schedule)
     errs = angular_errors(result.orientations, views.true_orientations)
     errs0 = angular_errors(views.initial_orientations, views.true_orientations)
@@ -66,7 +67,7 @@ def test_refine_with_ctf_correction(quick_schedule):
 
 def test_timer_has_paper_steps(phantom24, quick_schedule):
     views = simulate_views(phantom24, 2, projection_method="fourier", seed=3)
-    refiner = OrientationRefiner(phantom24, r_max=8)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=8.0))
     result = refiner.refine(views, schedule=quick_schedule)
     for name in ("3D DFT", "Read image", "FFT analysis", STEP_REFINEMENT):
         assert name in result.timer.totals
@@ -76,7 +77,7 @@ def test_timer_has_paper_steps(phantom24, quick_schedule):
 
 def test_stats_per_level(phantom24, quick_schedule):
     views = simulate_views(phantom24, 2, projection_method="fourier", seed=4)
-    refiner = OrientationRefiner(phantom24, r_max=8)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=8.0))
     result = refiner.refine(views, schedule=quick_schedule)
     assert len(result.stats.matches_per_level) == 2
     assert result.stats.total_matches >= 2 * 2 * 125
@@ -84,7 +85,7 @@ def test_stats_per_level(phantom24, quick_schedule):
 
 def test_level_snapshots(phantom24, quick_schedule):
     views = simulate_views(phantom24, 2, projection_method="fourier", seed=5)
-    refiner = OrientationRefiner(phantom24, r_max=8)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=8.0))
     result = refiner.refine(views, schedule=quick_schedule, keep_level_snapshots=True)
     assert len(result.per_level_orientations) == 2
     assert len(result.per_level_orientations[0]) == 2
@@ -114,12 +115,12 @@ def test_orientation_count_mismatch(phantom24):
 
 def test_invalid_options(phantom24):
     with pytest.raises(ValueError):
-        OrientationRefiner(phantom24, ctf_correction="magic")
+        OrientationRefiner(phantom24, config=EngineConfig(ctf_correction="magic"))
 
 
 def test_refine_centers_disabled(phantom24, quick_schedule):
     views = simulate_views(phantom24, 2, projection_method="fourier", seed=6)
-    refiner = OrientationRefiner(phantom24, r_max=8)
+    refiner = OrientationRefiner(phantom24, config=EngineConfig(r_max=8.0))
     result = refiner.refine(views, schedule=quick_schedule, refine_centers=False)
     assert all(o.cx == 0.0 and o.cy == 0.0 for o in result.orientations)
     assert result.stats.total_center_evals == 0

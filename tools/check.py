@@ -36,6 +36,10 @@ Runs, in order:
    rewrites ``BENCH_scenarios.json`` and fails if any workload trips its
    thresholds; the step also asserts the suite's wall-clock budget so the
    matrix stays cheap enough to gate every change,
+9b. the repository benchmark's smoke test (``python -m pytest bench/``)
+   as its own named step — ``bench/`` sits outside the tier-1
+   ``testpaths``, and its traced runs wrap program entry points by module
+   path, so a deleted or renamed entry point fails here,
 10. the chaos subset (``-m chaos``, tests/chaos/) separately — fault
    injection kills workers and restarts pools, so it runs apart from the
    main suite but under the same runtime contracts.
@@ -101,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             ("pytest[accuracy-gate]", ["-x", "-q", "-m", "accuracy_gate"]),
             ("pytest[iterate-smoke]", ["-x", "-q", "-m", "iterate_smoke"]),
             ("pytest[scenarios]", ["-x", "-q", "-m", "scenarios"]),
+            ("pytest[bench]", ["-x", "-q", "bench/"]),
         ]
         if not args.no_chaos:
             suites.append(("pytest[chaos]", ["-x", "-q", "-m", "chaos"]))

@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from repro.density import asymmetric_phantom
+from repro.engine import EngineConfig
 from repro.imaging.simulate import simulate_views
 from repro.refine.multires import MultiResolutionSchedule, RefinementLevel
 from repro.refine.refiner import OrientationRefiner
@@ -39,7 +40,8 @@ def tiny_problem():
 
 def main() -> None:
     density, views, schedule = tiny_problem()
-    result = OrientationRefiner(density, max_slides=2).refine(views, schedule=schedule)
+    refiner = OrientationRefiner(density, config=EngineConfig(max_slides=2))
+    result = refiner.refine(views, schedule=schedule)
     orientations = np.array([o.as_tuple() for o in result.orientations])
     path = os.path.abspath(GOLDEN_PATH)
     os.makedirs(os.path.dirname(path), exist_ok=True)
